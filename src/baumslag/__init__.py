@@ -11,8 +11,6 @@ from .britton import (
     Z2WitnessReport,
     britton_reduce,
     equal,
-    eval_metabelian,
-    find_pinch,
     is_trivial,
     parse_bs_params,
     z2_witness,
@@ -67,16 +65,7 @@ from .metabelian import (
     subgroup_params,
     two_gen_classify,
 )
-from .rationals import Ratio, format_ratio, mn_member, parse_ratio
-from .words import (
-    Presentation,
-    Word,
-    WordParseError,
-    concat,
-    free_reduce,
-    format_word,
-    invert_word,
-    parse_word,
-)
+from .rationals import mn_member, parse_ratio
+from .words import Presentation, Word, WordParseError, format_word, parse_word
 
 __version__ = "0.1.0"

@@ -15,17 +15,15 @@ removes two t-letters) and the triviality answer does not depend on it.
 
 For the soluble case BS(1, k) the assignment a -> (1, 0), t -> (0, 1) is
 an isomorphism onto G(1, k), giving an independent word-problem oracle
-(eval_metabelian) used for cross-validation.
+(metabelian.eval_word) used for cross-validation.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
-from .metabelian import MetabelianElement, MetabelianParams
-from .words import Word, parse_word, format_word
+from .words import Word, format_word, parse_pair, parse_word
 
 GENERATORS = ("a", "t")
 
@@ -48,23 +46,15 @@ class BsParams:
 
 def parse_bs_params(text: str) -> BsParams:
     """Parse the textual form ``BS(m,n)``."""
-    m = re.match(r"BS\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\Z", text.strip())
-    if not m:
-        raise ValueError(f"malformed parameters {text!r}, expected 'BS(m,n)'")
-    return BsParams(int(m.group(1)), int(m.group(2)))
+    return BsParams(*parse_pair(text, "BS"))
 
 
 @dataclass(frozen=True)
 class BsWord:
-    """Syllable form a^lead t^s1 a^e1 ... t^sk a^ek of a word over {a, t}.
-
-    ``reduced`` records that the word came out of britton_reduce (for the
-    parameters it was reduced under); it is ignored by equality.
-    """
+    """Syllable form a^lead t^s1 a^e1 ... t^sk a^ek of a word over {a, t}."""
 
     lead: int = 0
     tail: tuple[tuple[int, int], ...] = ()
-    reduced: bool = field(default=False, compare=False)
 
     @classmethod
     def from_word(cls, w: Word) -> "BsWord":
@@ -130,18 +120,6 @@ def commutator_word(u: BsWord, v: BsWord) -> BsWord:
     return ~u * ~v * u * v
 
 
-def find_pinch(w: BsWord, params: BsParams) -> int | None:
-    """Index j of the leftmost pinch t^sj a^ej t^s(j+1), or None."""
-    for j in range(len(w.tail) - 1):
-        sign, exp = w.tail[j]
-        next_sign = w.tail[j + 1][0]
-        if sign == -1 and next_sign == 1 and exp % params.m == 0:
-            return j
-        if sign == 1 and next_sign == -1 and exp % params.n == 0:
-            return j
-    return None
-
-
 def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
     """Rewrite pinches leftmost-first until none remain.
 
@@ -167,7 +145,7 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
         else:
             tail[j - 1][1] += merged
         j = max(j - 1, 0)
-    return BsWord(lead, tuple((s, e) for s, e in tail), reduced=True)
+    return BsWord(lead, tuple((s, e) for s, e in tail))
 
 
 def is_trivial(w: BsWord, params: BsParams) -> bool:
@@ -184,21 +162,6 @@ def is_trivial(w: BsWord, params: BsParams) -> bool:
 def equal(u: BsWord, v: BsWord, params: BsParams) -> bool:
     """True iff u and v represent the same element of BS(m, n)."""
     return is_trivial(u * ~v, params)
-
-
-def eval_metabelian(w: BsWord, k: int) -> MetabelianElement:
-    """Evaluate a word over BS(1, k) in G(1, k) via a -> (1, 0),
-    t -> (0, 1); this map is an isomorphism, so the result is the
-    identity exactly when the word is trivial."""
-    if k < 1:
-        raise DomainError(f"metabelian evaluation needs k >= 1, got {k}")
-    params = MetabelianParams(1, k)
-    a = MetabelianElement(params, 1, 0)
-    t = MetabelianElement(params, 0, 1)
-    result = a ** w.lead
-    for sign, exp in w.tail:
-        result = result * t ** sign * a ** exp
-    return result
 
 
 @dataclass(frozen=True)

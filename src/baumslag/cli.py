@@ -101,7 +101,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _require_g(_parse_group(args.group))
-    word = parse_word(args.word, ("a", "t"))
+    word = parse_word(args.word, britton.GENERATORS)
     element = eval_word(word, params)
     payload = {
         "command": "eval",
@@ -282,7 +282,8 @@ def cmd_cert(args) -> int:
     cert = bezout_certificate(params, k, side)
     ok = cert.verify()
     base = params.n if side == "n" else params.m
-    word_text = format_word(cert.word, ("a", "t"))
+    word_text = format_word(cert.word, britton.GENERATORS)
+    value = eval_word(cert.word, params)
     payload = {
         "command": "cert",
         "group": str(params),
@@ -292,7 +293,7 @@ def cmd_cert(args) -> int:
         "q": cert.q,
         "q_prime": cert.q_prime,
         "word": word_text,
-        "word_value": str(eval_word(cert.word, params)),
+        "word_value": str(value),
         "verified": ok,
     }
     m_k, n_k = params.m**k, params.n**k
@@ -301,7 +302,7 @@ def cmd_cert(args) -> int:
         f"target: (1/{base ** k}, 0)",
         f"bezout: {m_k}*({cert.q}) + {n_k}*({cert.q_prime}) = 1",
         f"word: {_show_word(word_text)}",
-        f"word evaluates to: {eval_word(cert.word, params)}",
+        f"word evaluates to: {value}",
         f"verified: {'yes' if ok else 'no'}",
     ]
     _emit(payload, lines, args.format)

@@ -32,9 +32,10 @@ violations raise GogFileError with the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DomainError
 from .words import (
@@ -78,6 +79,9 @@ class SerreGraph:
         self.vertices = tuple(sorted(vertices))
         self.inv = dict(inv)
         self.origin = dict(origin)
+        self._incident: dict[str, list[str]] = {}
+        for e in sorted(self.origin):
+            self._incident.setdefault(self.origin[e], []).append(e)
 
     @classmethod
     def from_edges(
@@ -110,21 +114,30 @@ class SerreGraph:
         return tuple(sorted({self.pair_key(e) for e in self.inv}))
 
     def incident(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(e for e, o in self.origin.items() if o == v))
+        """Half-edges with origin v, in ascending id order."""
+        return tuple(self._incident.get(v, ()))
+
+    def reach(
+        self, root: str, follow: Callable[[str], bool] = lambda e: True
+    ) -> dict[str, str | None]:
+        """Breadth-first search from ``root`` along the half-edges that
+        ``follow`` accepts, explored in ascending id order.  Maps every
+        reached vertex to the half-edge it was first reached by (None for
+        the root)."""
+        parent: dict[str, str | None] = {root: None}
+        queue = deque([root])
+        while queue:
+            for e in self._incident.get(queue.popleft(), ()):
+                w = self.terminus(e)
+                if w not in parent and follow(e):
+                    parent[w] = e
+                    queue.append(w)
+        return parent
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        seen = {self.vertices[0]}
-        queue = [self.vertices[0]]
-        while queue:
-            v = queue.pop(0)
-            for e in self.incident(v):
-                w = self.terminus(e)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
+        return len(self.reach(self.vertices[0])) == len(self.vertices)
 
 
 def spanning_tree(graph: SerreGraph) -> frozenset[str]:
@@ -133,19 +146,8 @@ def spanning_tree(graph: SerreGraph) -> frozenset[str]:
     ascending id order."""
     if not graph.is_connected():
         raise DomainError("graph is not connected")
-    root = graph.vertices[0]
-    seen = {root}
-    queue = [root]
-    tree: set[str] = set()
-    while queue:
-        v = queue.pop(0)
-        for e in graph.incident(v):
-            w = graph.terminus(e)
-            if w not in seen:
-                seen.add(w)
-                tree.add(graph.pair_key(e))
-                queue.append(w)
-    return frozenset(tree)
+    parent = graph.reach(graph.vertices[0])
+    return frozenset(graph.pair_key(e) for e in parent.values() if e is not None)
 
 
 class GraphOfGroups:
@@ -250,15 +252,7 @@ def _check_tree(gog: GraphOfGroups, tree: frozenset[str]) -> frozenset[str]:
     if len(tree) != len(g.vertices) - 1:
         raise DomainError("tree does not have |vertices| - 1 edge pairs")
     # Connected with |V| - 1 pairs is a spanning tree.
-    seen = {g.vertices[0]}
-    queue = [g.vertices[0]]
-    while queue:
-        v = queue.pop(0)
-        for e in g.incident(v):
-            if g.pair_key(e) in tree and g.terminus(e) not in seen:
-                seen.add(g.terminus(e))
-                queue.append(g.terminus(e))
-    if len(seen) != len(g.vertices):
+    if len(g.reach(g.vertices[0], lambda e: g.pair_key(e) in tree)) != len(g.vertices):
         raise DomainError("tree does not span the graph")
     return frozenset(tree)
 
@@ -434,22 +428,11 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
         raise DomainError(f"{keep!r} is not an edge pair of the graph")
     keep_bar = g.inv[keep]
 
-    remaining = [p for p in g.edge_pairs() if p != keep]
     component: dict[str, str] = {}
     for v in g.vertices:
         if v in component:
             continue
-        members = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop(0)
-            for e in g.incident(u):
-                if g.pair_key(e) == keep:
-                    continue
-                w = g.terminus(e)
-                if w not in members:
-                    members.add(w)
-                    queue.append(w)
+        members = g.reach(v, lambda e: g.pair_key(e) != keep)
         root = min(members)
         for u in members:
             component[u] = root

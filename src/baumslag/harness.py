@@ -41,6 +41,7 @@ from .metabelian import (
     MetabelianParams,
     bezout_certificate,
     centralizer_sample,
+    eval_word,
     malnormality_violation_witness,
     power_conjugacy_witness,
     subgroup_params,
@@ -100,21 +101,45 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
+# What a trial reports per failed check: (params, inputs, expected, got).
+Problem = tuple[object, str, str, str]
+
+
 def _sub_seed(seed: int | str, index: int) -> str:
     return f"{seed}:{index}"
+
+
+def _failure(trial: int, seed: str, problem: Problem) -> dict:
+    """The failure record: the trial index and per-trial seed replay it."""
+    params, inputs, expected, got = problem
+    return {
+        "trial": trial,
+        "seed": seed,
+        "params": str(params),
+        "inputs": inputs,
+        "expected": expected,
+        "got": got,
+    }
+
+
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
 
 
 def _run_trials(
     total: int,
     seed: int | str,
-    trial: Callable[[int, random.Random], list[dict]],
+    trial: Callable[[int, random.Random], list[Problem]],
     jobs: int = 1,
 ) -> list[dict]:
-    """Run independent trials; aggregation order is by trial index, so
-    the result is identical for any worker count."""
+    """Run independent trials and turn their problems into failure
+    records; aggregation order is by trial index, so the result is
+    identical for any worker count."""
 
     def run(index: int) -> list[dict]:
-        return trial(index, random.Random(_sub_seed(seed, index)))
+        sub = _sub_seed(seed, index)
+        return [_failure(index, sub, p) for p in trial(index, random.Random(sub))]
 
     if jobs <= 1:
         results = [run(i) for i in range(total)]
@@ -173,10 +198,11 @@ def suite_ct(
     Per trial: draw h != 1, then draw g and k from the centraliser of h
     at random t-exponents (retrying misses up to 32 times, then
     redrawing h), and check that g and k commute."""
+    _require_nonnegative("trials", trials)
     groups = _coerce_params(params_list)
     total = len(groups) * trials
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
+    def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // trials]
         bounds = dict(t_bound=t_bound, num_bound=num_bound, pow_bound=pow_bound)
         for _ in range(100):
@@ -197,26 +223,8 @@ def suite_ct(
             g, k = sampled
             if g.commutes(k):
                 return []
-            return [
-                {
-                    "trial": index,
-                    "seed": _sub_seed(seed, index),
-                    "params": str(params),
-                    "inputs": f"h={h} g={g} k={k}",
-                    "expected": "[g, k] = 1",
-                    "got": "g and k do not commute",
-                }
-            ]
-        return [
-            {
-                "trial": index,
-                "seed": _sub_seed(seed, index),
-                "params": str(params),
-                "inputs": "",
-                "expected": "centralizer samples",
-                "got": "sampling exhausted",
-            }
-        ]
+            return [(params, f"h={h} g={g} k={k}", "[g, k] = 1", "g and k do not commute")]
+        return [(params, "", "centralizer samples", "sampling exhausted")]
 
     failures = _run_trials(total, seed, trial, jobs)
     return SuiteReport(
@@ -259,28 +267,27 @@ def suite_oracle(
 ) -> SuiteReport:
     """Word-problem cross-validation on BS(1, k): Britton reduction must
     agree with evaluation in G(1, k) on random words."""
+    _require_nonnegative("trials", trials)
     ks = list(ks)
     for k in ks:
         if k < 1:
             raise DomainError(f"oracle suite needs k >= 1, got {k}")
     total = len(ks) * trials
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
+    def trial(index: int, rng: random.Random) -> list[Problem]:
         k = ks[index // trials]
         word = random_bs_word(rng, max_len)
         by_britton = britton.is_trivial(word, britton.BsParams(1, k))
-        by_eval = britton.eval_metabelian(word, k).is_identity
+        by_eval = eval_word(word.to_word(), MetabelianParams(1, k)).is_identity
         if by_britton == by_eval:
             return []
         return [
-            {
-                "trial": index,
-                "seed": _sub_seed(seed, index),
-                "params": f"BS(1,{k})",
-                "inputs": word.format() or "<empty>",
-                "expected": "both procedures agree",
-                "got": f"britton={by_britton} metabelian={by_eval}",
-            }
+            (
+                f"BS(1,{k})",
+                word.format() or "<empty>",
+                "both procedures agree",
+                f"britton={by_britton} metabelian={by_eval}",
+            )
         ]
 
     failures = _run_trials(total, seed, trial, jobs)
@@ -316,34 +323,25 @@ def suite_z2(
         ]
     else:
         cells = [tuple(p) for p in pairs]
+    if bound < 1:
+        raise DomainError(f"bound must be >= 1, got {bound}")
     runnable = [c for c in cells if abs(c[0]) > 1 and abs(c[1]) > 1]
     skipped = [c for c in cells if c not in runnable]
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
-        m, n = runnable[index]
-        report = britton.z2_witness(britton.BsParams(m, n), bound)
+    def trial(index: int, rng: random.Random) -> list[Problem]:
+        params = britton.BsParams(*runnable[index])
+        report = britton.z2_witness(params, bound)
         out = []
         if not report.commutator_is_trivial:
-            out.append(
-                {
-                    "trial": index,
-                    "seed": _sub_seed(seed, index),
-                    "params": f"BS({m},{n})",
-                    "inputs": "[t^-1 a t a, a^n]",
-                    "expected": "trivial commutator",
-                    "got": "nontrivial",
-                }
-            )
+            out.append((params, "[t^-1 a t a, a^n]", "trivial commutator", "nontrivial"))
         if report.collapsed_pairs:
             out.append(
-                {
-                    "trial": index,
-                    "seed": _sub_seed(seed, index),
-                    "params": f"BS({m},{n})",
-                    "inputs": f"powers up to {bound}",
-                    "expected": "all nonzero powers nontrivial",
-                    "got": f"collapsed at {list(report.collapsed_pairs)}",
-                }
+                (
+                    params,
+                    f"powers up to {bound}",
+                    "all nonzero powers nontrivial",
+                    f"collapsed at {list(report.collapsed_pairs)}",
+                )
             )
         return out
 
@@ -371,61 +369,21 @@ def suite_witnesses(
     groups = _coerce_params(params_list)
     notes: list[str] = []
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
+    def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // 2]
-        out = []
-        sub = _sub_seed(seed, index)
         if index % 2 == 0:
             witness = power_conjugacy_witness(params)
-            if witness is None:
-                if params.m != params.n:
-                    out.append(
-                        {
-                            "trial": index,
-                            "seed": sub,
-                            "params": str(params),
-                            "inputs": "power_conjugacy_witness",
-                            "expected": "a witness (m != n)",
-                            "got": "none",
-                        }
-                    )
-            elif not witness.verify():
-                out.append(
-                    {
-                        "trial": index,
-                        "seed": sub,
-                        "params": str(params),
-                        "inputs": witness.describe(),
-                        "expected": "identity verifies with |e1| != |e2|",
-                        "got": "verification failed",
-                    }
-                )
+            name, exists = "power_conjugacy_witness", params.m != params.n
+            missing, verifies = "a witness (m != n)", "identity verifies with |e1| != |e2|"
         else:
             witness = malnormality_violation_witness(params)
-            if witness is None:
-                if not params.is_abelian:
-                    out.append(
-                        {
-                            "trial": index,
-                            "seed": sub,
-                            "params": str(params),
-                            "inputs": "malnormality_violation_witness",
-                            "expected": "a witness ((m,n) != (1,1))",
-                            "got": "none",
-                        }
-                    )
-            elif not witness.verify():
-                out.append(
-                    {
-                        "trial": index,
-                        "seed": sub,
-                        "params": str(params),
-                        "inputs": witness.describe(),
-                        "expected": "conjugate stays in H minus identity",
-                        "got": "verification failed",
-                    }
-                )
-        return out
+            name, exists = "malnormality_violation_witness", not params.is_abelian
+            missing, verifies = "a witness ((m,n) != (1,1))", "conjugate stays in H minus identity"
+        if witness is None:
+            return [(params, name, missing, "none")] if exists else []
+        if not witness.verify():
+            return [(params, witness.describe(), verifies, "verification failed")]
+        return []
 
     failures = _run_trials(2 * len(groups), seed, trial, jobs)
     for params in groups:
@@ -455,6 +413,7 @@ def suite_bezout(
     """Membership certificates for 1/m^k and 1/n^k: the Bezout identity,
     its rational evaluation, and the group-word realisation must all
     check exactly for k = 1 .. k_max on both sides."""
+    _require_nonnegative("k_max", k_max)
     groups = _coerce_params(params_list)
     for params in groups:
         if params.is_abelian:
@@ -466,7 +425,7 @@ def suite_bezout(
         for side in ("m", "n")
     ]
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
+    def trial(index: int, rng: random.Random) -> list[Problem]:
         params, k, side = work[index]
         cert = bezout_certificate(params, k, side)
         checks = {
@@ -474,20 +433,8 @@ def suite_bezout(
             "evaluation identity": cert.evaluation_identity_holds(),
             "word evaluates to target": cert.word_evaluates_to_target(),
         }
-        out = []
-        for name, ok in checks.items():
-            if not ok:
-                out.append(
-                    {
-                        "trial": index,
-                        "seed": _sub_seed(seed, index),
-                        "params": str(params),
-                        "inputs": f"k={k} side={side} q={cert.q} q'={cert.q_prime}",
-                        "expected": name,
-                        "got": "check failed",
-                    }
-                )
-        return out
+        inputs = f"k={k} side={side} q={cert.q} q'={cert.q_prime}"
+        return [(params, inputs, name, "check failed") for name, ok in checks.items() if not ok]
 
     failures = _run_trials(len(work), seed, trial, jobs)
     return SuiteReport(
@@ -572,12 +519,13 @@ def suite_classify(
 ) -> SuiteReport:
     """Two-generator classification consistency on random pairs, after
     reproducing the three fixed reference examples in G(2, 3)."""
+    _require_nonnegative("trials", trials)
     groups = _coerce_params(params_list)
     total = len(groups) * trials
     fixed_problems = classify_fixed_examples()
     notes = ["fixed examples in G(2,3): reproduced"] if not fixed_problems else []
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
+    def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // trials]
         bounds = dict(t_bound=t_bound, num_bound=num_bound, pow_bound=pow_bound)
         g1 = random_element(rng, params, **bounds)
@@ -585,27 +533,11 @@ def suite_classify(
         problem = _classify_consistency(params, g1, g2)
         if problem is None:
             return []
-        return [
-            {
-                "trial": index,
-                "seed": _sub_seed(seed, index),
-                "params": str(params),
-                "inputs": f"g1={g1} g2={g2}",
-                "expected": "classification consistency",
-                "got": problem,
-            }
-        ]
+        return [(params, f"g1={g1} g2={g2}", "classification consistency", problem)]
 
     failures = [
-        {
-            "trial": -1,
-            "seed": "fixed",
-            "params": "G(2,3)",
-            "inputs": "fixed example",
-            "expected": "tagged classification",
-            "got": problem,
-        }
-        for problem in fixed_problems
+        _failure(-1, "fixed", ("G(2,3)", "fixed example", "tagged classification", p))
+        for p in fixed_problems
     ]
     failures.extend(_run_trials(total, seed, trial, jobs))
     return SuiteReport(
@@ -632,6 +564,33 @@ def expected_relator_count(gog: GraphOfGroups) -> int:
     return vertex_relators + len(pairs) + tree + conjugation
 
 
+def _gog_checks(gog: GraphOfGroups) -> list[tuple[str, str]]:
+    """(expected, got) for every failed invariant of a fixture."""
+    problems = validate(gog)
+    if problems:
+        return [("valid fixture", "; ".join(problems))]
+    pi1 = fundamental_presentation(gog)
+    out = []
+    expected = expected_relator_count(gog)
+    if len(pi1.raw.relators) != expected:
+        out.append((f"{expected} raw relators", str(len(pi1.raw.relators))))
+    ab_raw = abelianization(pi1.raw)
+    ab_simplified = abelianization(pi1.simplified)
+    if ab_raw != ab_simplified:
+        out.append((f"abelianization {ab_raw}", f"simplified gives {ab_simplified}"))
+    for pair in gog.graph.edge_pairs():
+        collapsed = collapse_all_but_one(gog, pair)
+        ab_collapsed = abelianization(fundamental_presentation(collapsed.gog).raw)
+        if ab_collapsed != ab_raw:
+            out.append(
+                (
+                    f"abelianization {ab_raw} preserved by collapse onto {pair}",
+                    str(ab_collapsed),
+                )
+            )
+    return out
+
+
 def suite_gog(
     names: Sequence[str] | None = None, seed: int | str = 0, jobs: int = 1
 ) -> SuiteReport:
@@ -641,51 +600,12 @@ def suite_gog(
     collapse-to-one-edge move."""
     names = list(names) if names is not None else list(fixture_names())
 
-    def trial(index: int, rng: random.Random) -> list[dict]:
+    def trial(index: int, rng: random.Random) -> list[Problem]:
         name = names[index]
-        sub = _sub_seed(seed, index)
-
-        def failure(expected: str, got: str) -> dict:
-            return {
-                "trial": index,
-                "seed": sub,
-                "params": name,
-                "inputs": f"fixture {name}",
-                "expected": expected,
-                "got": got,
-            }
-
-        gog = load_fixture(name)
-        problems = validate(gog)
-        if problems:
-            return [failure("valid fixture", "; ".join(problems))]
-        pi1 = fundamental_presentation(gog)
-        out = []
-        expected = expected_relator_count(gog)
-        if len(pi1.raw.relators) != expected:
-            out.append(
-                failure(
-                    f"{expected} raw relators",
-                    str(len(pi1.raw.relators)),
-                )
-            )
-        ab_raw = abelianization(pi1.raw)
-        ab_simplified = abelianization(pi1.simplified)
-        if ab_raw != ab_simplified:
-            out.append(
-                failure(f"abelianization {ab_raw}", f"simplified gives {ab_simplified}")
-            )
-        for pair in gog.graph.edge_pairs():
-            collapsed = collapse_all_but_one(gog, pair)
-            ab_collapsed = abelianization(fundamental_presentation(collapsed.gog).raw)
-            if ab_collapsed != ab_raw:
-                out.append(
-                    failure(
-                        f"abelianization {ab_raw} preserved by collapse onto {pair}",
-                        str(ab_collapsed),
-                    )
-                )
-        return out
+        return [
+            (name, f"fixture {name}", expected, got)
+            for expected, got in _gog_checks(load_fixture(name))
+        ]
 
     failures = _run_trials(len(names), seed, trial, jobs)
     return SuiteReport(

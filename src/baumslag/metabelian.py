@@ -28,11 +28,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .rationals import Ratio, mn_member
-from .words import Word
-
-# Generator alphabet shared with the word layer: a = (1, 0), t = (0, 1).
-GENERATORS = ("a", "t")
+from .rationals import mn_member
+from .words import Word, parse_pair
 
 INSIDE_H = "inside_h"
 COMMENSURABLE_CYCLIC = "commensurable_cyclic"
@@ -65,7 +62,7 @@ class MetabelianParams:
         return f"G({self.m},{self.n})"
 
 
-def phi_pow(params: MetabelianParams, x: Ratio, k: int) -> Ratio:
+def phi_pow(params: MetabelianParams, x: Fraction, k: int) -> Fraction:
     """Apply the t-action k times: x -> x * (m/n)^k.
 
     Z[1/mn] is closed under this map in both directions, so the result
@@ -79,7 +76,7 @@ class MetabelianElement:
     """A group element (x, p) of G(m, n); immutable, exact, validated."""
 
     params: MetabelianParams
-    x: Ratio
+    x: Fraction
     p: int
 
     def __post_init__(self):
@@ -166,25 +163,30 @@ def parse_element(text: str, params: MetabelianParams) -> MetabelianElement:
 
 def parse_params(text: str) -> MetabelianParams:
     """Parse the textual form ``G(m,n)``."""
-    m = re.match(r"G\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\Z", text.strip())
-    if not m:
-        raise ValueError(f"malformed parameters {text!r}, expected 'G(m,n)'")
-    return MetabelianParams(int(m.group(1)), int(m.group(2)))
+    return MetabelianParams(*parse_pair(text, "G"))
 
 
 def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
     """Evaluate a word over the alphabet (a, t) under a -> (1, 0),
-    t -> (0, 1)."""
-    result = MetabelianElement.identity(params)
-    images = (
-        MetabelianElement(params, Fraction(1), 0),
-        MetabelianElement(params, Fraction(0), 1),
-    )
+    t -> (0, 1).
+
+    By the group law, a syllable a^e read at running t-exponent p adds
+    e * (m/n)^p to the kernel component, so the value is
+    (sum of e * (m/n)^p over the a-syllables, total t-exponent); one
+    validated element is built at the end.  For G(1, k) this is the
+    isomorphism from BS(1, k), the independent word-problem oracle.
+    """
+    r = params.ratio
+    x = Fraction(0)
+    p = 0
     for gen, exp in word.letters:
-        if not 0 <= gen < 2:
+        if gen == 0:
+            x += exp * r ** p
+        elif gen == 1:
+            p += exp
+        else:
             raise ValueError("word must be over the two-letter alphabet (a, t)")
-        result = result * images[gen] ** exp
-    return result
+    return MetabelianElement(params, x, p)
 
 
 def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None:
@@ -215,7 +217,7 @@ def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None
     return MetabelianElement(params, y, q)
 
 
-def subgroup_params(x: Ratio, p: int, ambient: MetabelianParams) -> MetabelianParams:
+def subgroup_params(x: Fraction, p: int, ambient: MetabelianParams) -> MetabelianParams:
     """Isomorphism type of the subgroup generated by (x, 0) and any element
     with t-exponent p: the pair (m', n') with m'/n' = (m/n)^p in lowest
     terms, m', n' >= 1.

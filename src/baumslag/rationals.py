@@ -1,9 +1,9 @@
 """Exact rational arithmetic and membership in the subring Z[1/mn] of Q.
 
-All rational values in this package are ``fractions.Fraction`` instances,
-re-exported as ``Ratio``.  Fraction already maintains the two invariants we
-rely on everywhere: gcd(numerator, denominator) = 1 and denominator >= 1,
-with zero stored uniquely as 0/1.  No floating point is used anywhere.
+All rational values in this package are ``fractions.Fraction`` instances.
+Fraction already maintains the two invariants we rely on everywhere:
+gcd(numerator, denominator) = 1 and denominator >= 1, with zero stored
+uniquely as 0/1.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from math import gcd
 
 from .errors import DomainError
 
-Ratio = Fraction
 
-
-def mn_member(r: Ratio, m: int, n: int) -> bool:
+def mn_member(r: Fraction, m: int, n: int) -> bool:
     """Return True iff r lies in Z[1/mn], the rationals whose denominator
     divides a power of m*n.
 
@@ -37,7 +35,7 @@ def mn_member(r: Ratio, m: int, n: int) -> bool:
     return den == 1
 
 
-def parse_ratio(text: str) -> Ratio:
+def parse_ratio(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` (optional leading sign, den nonzero)."""
     try:
         return Fraction(text.strip())
@@ -45,8 +43,3 @@ def parse_ratio(text: str) -> Ratio:
         raise ValueError(f"zero denominator in rational {text!r}") from None
     except ValueError:
         raise ValueError(f"malformed rational {text!r}") from None
-
-
-def format_ratio(r: Ratio) -> str:
-    """Render as ``num/den``, omitting the denominator when it is 1."""
-    return str(r)

@@ -111,22 +111,6 @@ class Word:
         return sum(abs(e) for _, e in self.letters)
 
 
-def free_reduce(letters: "Word | Iterable[tuple[int, int]]") -> Word:
-    """Merge adjacent equal-generator syllables and drop zero exponents,
-    iterating to a fixed point."""
-    if isinstance(letters, Word):
-        return Word(letters.letters)
-    return Word(letters)
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert_word(w: Word) -> Word:
-    return ~w
-
-
 def substitute(w: Word, images: Sequence[Word]) -> Word:
     """Replace every generator g by images[g], freely reducing the result."""
     out: list[tuple[int, int]] = []
@@ -208,6 +192,15 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
 
     letters, _ = parse_sequence(0, None)
     return Word(letters)
+
+
+def parse_pair(text: str, family: str) -> tuple[int, int]:
+    """Parse the parameter text ``family(m,n)``, e.g. ``BS(2,-3)``, into
+    the integer pair (m, n)."""
+    match = re.match(rf"{family}\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\Z", text.strip())
+    if not match:
+        raise ValueError(f"malformed parameters {text!r}, expected '{family}(m,n)'")
+    return int(match.group(1)), int(match.group(2))
 
 
 def format_word(w: Word, alphabet: Sequence[str]) -> str:

@@ -268,6 +268,15 @@ def test_verify_rejects_wrong_family(capsys):
     assert code == 2
 
 
+def test_verify_rejects_negative_counts(capsys):
+    for suite, flag in (("ct", "--trials"), ("oracle", "--trials"),
+                        ("classify", "--trials"), ("bezout", "--bound"), ("z2", "--bound")):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, "-5")
+        assert code == 3, suite
+        assert out == ""
+        assert err.startswith("error: ") and "-5" in err
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "reduce", "--group", "BS(2,3)")  # missing --word
     assert code == 2

@@ -23,7 +23,8 @@ import random
 
 def test_run_trials_order_is_stable_across_jobs():
     def trial(index, rng):
-        return [{"trial": index, "draw": rng.randint(0, 10**6)}] if index % 3 == 0 else []
+        draw = str(rng.randint(0, 10**6))
+        return [("p", draw, "no draw", "a draw")] if index % 3 == 0 else []
 
     serial = _run_trials(30, "s", trial, jobs=1)
     parallel = _run_trials(30, "s", trial, jobs=4)
@@ -32,16 +33,19 @@ def test_run_trials_order_is_stable_across_jobs():
 
 
 def test_failure_records_are_replayable():
+    # The runner, not the trial, writes the trial index and seed.
     def trial(index, rng):
         value = rng.randint(0, 100)
         if value < 20:
-            return [{"trial": index, "seed": f"7:{index}", "value": value}]
+            return [("p", str(value), "value >= 20", "smaller")]
         return []
 
     failures = _run_trials(50, 7, trial, jobs=1)
+    assert failures
     for record in failures:
+        assert record["seed"] == f"7:{record['trial']}"
         replay = random.Random(record["seed"]).randint(0, 100)
-        assert replay == record["value"]
+        assert str(replay) == record["inputs"]
 
 
 def test_random_element_respects_bounds():
@@ -71,6 +75,12 @@ def test_suite_ct_rejects_invalid_params():
         suite_ct([(6, 2)], trials=10, seed=0)
 
 
+def test_suite_ct_rejects_negative_trials():
+    with pytest.raises(DomainError, match="trials must be >= 0, got -5"):
+        suite_ct([(2, 3)], trials=-5, seed=0)
+    assert suite_ct([(2, 3)], trials=0, seed=0).trials == 0
+
+
 def test_suite_ct_abelian_group():
     report = suite_ct([(1, 1)], trials=100, seed=0)
     assert report.verdict == "pass"
@@ -96,12 +106,22 @@ def test_suite_oracle_rejects_bad_k():
         suite_oracle([0], trials=5, seed=0)
 
 
+def test_suite_oracle_rejects_negative_trials():
+    with pytest.raises(DomainError, match="trials must be >= 0"):
+        suite_oracle([2], trials=-1, seed=0)
+
+
 def test_suite_z2_grid_with_skips():
     report = suite_z2(pairs=[(2, 3), (1, 2)], bound=2, seed=0)
     assert report.verdict == "pass"
     assert report.trials == 1
     assert any("skipped BS(1,2)" in note for note in report.notes)
     assert any("bound" in note for note in report.notes)
+
+
+def test_suite_z2_rejects_bad_bound_even_when_all_cells_skip():
+    with pytest.raises(DomainError, match="bound must be >= 1, got -1"):
+        suite_z2(pairs=[(1, 2)], bound=-1, seed=0)
 
 
 def test_suite_z2_default_grid():
@@ -125,6 +145,12 @@ def test_suite_bezout():
         suite_bezout([(1, 1)], k_max=2, seed=0)
 
 
+def test_suite_bezout_rejects_negative_k_max():
+    with pytest.raises(DomainError, match="k_max must be >= 0, got -1"):
+        suite_bezout([(2, 3)], k_max=-1, seed=0)
+    assert suite_bezout([(2, 3)], k_max=0, seed=0).trials == 0
+
+
 def test_classify_fixed_examples():
     assert classify_fixed_examples() == []
 
@@ -134,6 +160,11 @@ def test_suite_classify():
     assert report.verdict == "pass"
     assert report.trials == 303  # includes the three fixed examples
     assert any("fixed examples" in note for note in report.notes)
+
+
+def test_suite_classify_rejects_negative_trials():
+    with pytest.raises(DomainError, match="trials must be >= 0"):
+        suite_classify([(2, 3)], trials=-1, seed=0)
 
 
 def test_suite_gog():
