@@ -17,6 +17,7 @@ suite accepts overrides.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ from .metabelian import (
     MetabelianParams,
     bezout_certificate,
     centralizer_sample,
+    element_over_mn,
     eval_word,
     malnormality_violation_witness,
     power_conjugacy_witness,
@@ -135,21 +137,28 @@ def _run_trials(
 ) -> list[dict]:
     """Run independent trials and turn their problems into failure
     records; aggregation order is by trial index, so the result is
-    identical for any worker count."""
+    identical for any worker count.
 
-    def run(index: int) -> list[dict]:
-        sub = _sub_seed(seed, index)
-        return [_failure(index, sub, p) for p in trial(index, random.Random(sub))]
+    With jobs > 1 the indices are split into at most
+    min(jobs, cpu count, total) contiguous chunks, one per worker
+    thread, and the chunks' records are joined in index order."""
 
-    if jobs <= 1:
-        results = [run(i) for i in range(total)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(total)))
-    failures: list[dict] = []
-    for chunk in results:
-        failures.extend(chunk)
-    return failures
+    def run(indices: range) -> list[dict]:
+        failures: list[dict] = []
+        for index in indices:
+            sub = _sub_seed(seed, index)
+            failures.extend(
+                _failure(index, sub, p) for p in trial(index, random.Random(sub))
+            )
+        return failures
+
+    workers = min(jobs, os.cpu_count() or 1, total)
+    if workers <= 1:
+        return run(range(total))
+    size = -(-total // workers)
+    chunks = [range(total)[start : start + size] for start in range(0, total, size)]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        return [record for part in pool.map(run, chunks) for record in part]
 
 
 def random_element(
@@ -163,8 +172,7 @@ def random_element(
     i = rng.randint(0, pow_bound)
     j = rng.randint(0, pow_bound)
     p = rng.randint(-t_bound, t_bound)
-    x = Fraction(z, params.m**i * params.n**j)
-    return MetabelianElement(params, x, p)
+    return element_over_mn(params, z, i, j, p)
 
 
 def _random_nonidentity(

@@ -18,6 +18,17 @@ Baumslag-Solitar group BS(1, k) (see the britton module for the word
 side), and G(1, 1) is the free abelian group of rank 2.  Negative
 parameters are deliberately not modelled here; words over BS(m, n) with
 negative m or n are handled symbolically by the britton module.
+
+Z[1/mn] membership is checked only where a value enters: the public
+constructor ``MetabelianElement(params, x, p)`` (and so ``parse_element``)
+and ``subgroup_params``.  Every result the package computes itself is a
+member by construction, so it is built unchecked by ``_element``: its
+integer numerator and denominator are computed first, and one Fraction
+is made per returned element.  Either the denominator only gains factors
+of m and n (products, inverses, the t-action, Word evaluation, and
+``element_over_mn``, which builds z / (m^i * n^j) for random samples),
+or it comes from an exact integer division (powers and centraliser
+samples).
 """
 
 from __future__ import annotations
@@ -62,25 +73,75 @@ class MetabelianParams:
         return f"G({self.m},{self.n})"
 
 
+def _t_power(params: MetabelianParams, k: int) -> tuple[int, int]:
+    """(up, down) with (m/n)^k = up/down: the t-action written once.
+
+    Both are powers of m or n, so applying it to a member of Z[1/mn]
+    keeps the denominator a product of powers of m and n.
+    """
+    if k >= 0:
+        return params.m ** k, params.n ** k
+    return params.n ** -k, params.m ** -k
+
+
 def phi_pow(params: MetabelianParams, x: Fraction, k: int) -> Fraction:
     """Apply the t-action k times: x -> x * (m/n)^k.
 
     Z[1/mn] is closed under this map in both directions, so the result
     of a valid input stays in the coefficient ring.
     """
-    return x * params.ratio ** k
+    up, down = _t_power(params, k)
+    return Fraction(x.numerator * up, x.denominator * down)
+
+
+def _element(params: MetabelianParams, num: int, den: int, p: int) -> "MetabelianElement":
+    """The element (num/den, p), built without the membership check.
+
+    Only for results whose denominator divides a power of m * n by
+    construction.  The Fraction made here is the only one per result.
+    """
+    element = object.__new__(MetabelianElement)
+    fields = element.__dict__
+    fields["params"] = params
+    fields["x"] = Fraction(num, den)
+    fields["p"] = p
+    return element
+
+
+def element_over_mn(
+    params: MetabelianParams, z: int, i: int, j: int, p: int
+) -> "MetabelianElement":
+    """The element (z / (m^i * n^j), p) for integers z, i, j >= 0 and p.
+
+    Its denominator is a product of powers of m and n, so it is a member
+    of Z[1/mn] by construction and is built without the membership check.
+    """
+    return _element(params, z, params.m ** i * params.n ** j, p)
 
 
 @dataclass(frozen=True)
 class MetabelianElement:
-    """A group element (x, p) of G(m, n); immutable, exact, validated."""
+    """A group element (x, p) of G(m, n); immutable and exact.
+
+    The public constructor is where elements enter, so it checks them:
+    x must be an int or a Fraction in Z[1/mn] (anything else, floats and
+    strings included, raises TypeError) and p an int.  Group operations
+    build their results through ``_element`` without that check, because
+    Z[1/mn] is closed under them.
+    """
 
     params: MetabelianParams
     x: Fraction
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise TypeError(f"t-exponent must be an int, got {self.p!r}")
         if not isinstance(self.x, Fraction):
+            if isinstance(self.x, bool) or not isinstance(self.x, int):
+                raise TypeError(
+                    f"kernel component must be an int or a Fraction, got {self.x!r}"
+                )
             object.__setattr__(self, "x", Fraction(self.x))
         if not mn_member(self.x, self.params.m, self.params.n):
             raise DomainError(
@@ -89,11 +150,11 @@ class MetabelianElement:
 
     @classmethod
     def identity(cls, params: MetabelianParams) -> "MetabelianElement":
-        return cls(params, Fraction(0), 0)
+        return _element(params, 0, 1, 0)
 
     @property
     def is_identity(self) -> bool:
-        return self.x == 0 and self.p == 0
+        return self.p == 0 and self.x == 0
 
     @property
     def in_kernel(self) -> bool:
@@ -108,23 +169,34 @@ class MetabelianElement:
 
     def __mul__(self, other: "MetabelianElement") -> "MetabelianElement":
         self._check(other)
-        x = self.x + phi_pow(self.params, other.x, self.p)
-        return MetabelianElement(self.params, x, self.p + other.p)
+        up, down = _t_power(self.params, self.p)
+        a, b = self.x.numerator, self.x.denominator
+        c, d = other.x.numerator, other.x.denominator
+        # a/b + (c * up) / (d * down) over the common denominator.
+        num = a * d * down + c * up * b
+        return _element(self.params, num, b * d * down, self.p + other.p)
 
     def inverse(self) -> "MetabelianElement":
-        x = -phi_pow(self.params, self.x, -self.p)
-        return MetabelianElement(self.params, x, -self.p)
+        up, down = _t_power(self.params, -self.p)
+        return _element(
+            self.params, -self.x.numerator * up, self.x.denominator * down, -self.p
+        )
 
     def __pow__(self, k: int) -> "MetabelianElement":
-        # Closed form of the telescoping product: for r^p != 1,
-        # (x, p)^k = (x * (1 - r^(kp)) / (1 - r^p), kp); it is valid for
-        # negative k as well.
-        r = self.params.ratio
-        rp = r ** self.p
-        if rp == 1:
-            return MetabelianElement(self.params, self.x * k, self.p * k)
-        x = self.x * (1 - rp ** k) / (1 - rp)
-        return MetabelianElement(self.params, x, self.p * k)
+        # Closed form of the telescoping product: with r^p = up/down,
+        # (x, p)^k = (x * (1 - r^(kp)) / (1 - r^p), kp).  For k >= 0 this
+        # is x * Q * down / down^k, for k < 0 it is -x * Q * down / up^|k|,
+        # where Q = (down^|k| - up^|k|) / (down - up) is an exact integer
+        # quotient (and Q = |k| when up = down, i.e. r^p = 1).
+        up, down = _t_power(self.params, self.p)
+        size = abs(k)
+        q = size if up == down else (down ** size - up ** size) // (down - up)
+        num = self.x.numerator * q * down
+        if k >= 0:
+            den = self.x.denominator * down ** size
+        else:
+            num, den = -num, self.x.denominator * up ** size
+        return _element(self.params, num, den, self.p * k)
 
     def conjugate(self, by: "MetabelianElement") -> "MetabelianElement":
         """Return by^-1 * self * by."""
@@ -137,8 +209,15 @@ class MetabelianElement:
         return self.inverse() * other.inverse() * self * other
 
     def commutes(self, other: "MetabelianElement") -> bool:
+        # (x, p)(y, q) = (y, q)(x, p) iff x * (1 - r^q) = y * (1 - r^p);
+        # with r^k = up_k / down_k, cross-multiplied over positive
+        # denominators.
         self._check(other)
-        return self * other == other * self
+        up_p, down_p = _t_power(self.params, self.p)
+        up_q, down_q = _t_power(self.params, other.p)
+        a, b = self.x.numerator, self.x.denominator
+        c, d = other.x.numerator, other.x.denominator
+        return a * (down_q - up_q) * d * down_p == c * (down_p - up_p) * b * down_q
 
     def __str__(self) -> str:
         return f"({self.x}, {self.p})"
@@ -172,21 +251,27 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
 
     By the group law, a syllable a^e read at running t-exponent p adds
     e * (m/n)^p to the kernel component, so the value is
-    (sum of e * (m/n)^p over the a-syllables, total t-exponent); one
-    validated element is built at the end.  For G(1, k) this is the
-    isomorphism from BS(1, k), the independent word-problem oracle.
+    (sum of e * (m/n)^p over the a-syllables, total t-exponent).  The
+    a-exponents are summed per running t-exponent p; with P+ (P-) the
+    largest positive (negative, in absolute value) such p, the kernel
+    component is the integer sum of e * m^(P- + p) * n^(P+ - p) over
+    m^(P-) * n^(P+).  For G(1, k) this is the isomorphism from BS(1, k),
+    the independent word-problem oracle.
     """
-    r = params.ratio
-    x = Fraction(0)
+    sums: dict[int, int] = {}
     p = 0
     for gen, exp in word.letters:
         if gen == 0:
-            x += exp * r ** p
+            sums[p] = sums.get(p, 0) + exp
         elif gen == 1:
             p += exp
         else:
             raise ValueError("word must be over the two-letter alphabet (a, t)")
-    return MetabelianElement(params, x, p)
+    m, n = params.m, params.n
+    top = max(0, max(sums, default=0))
+    bottom = max(0, -min(sums, default=0))
+    num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
+    return _element(params, num, m ** bottom * n ** top, p)
 
 
 def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None:
@@ -194,10 +279,20 @@ def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None
     no such element exists.
 
     For g = (x, p) with p != 0 the centraliser meets t-exponent q in at
-    most one element, (x * (1 - r^q) / (1 - r^p), q) with r = m/n; it is
-    returned exactly when its H-component lies in Z[1/mn].  Nonzero
+    most one element, (y, q) with y = x * (1 - r^q) / (1 - r^p) and
+    r = m/n; it is returned exactly when y lies in Z[1/mn].  Nonzero
     elements of H commute only with H (unless the group is abelian), so
     for g in H the answer is g itself at q = 0 and None otherwise.
+
+    Membership is decided before anything is built.  Write
+    1 - r^k = s_k / d_k with s_k = n^k - m^k, d_k = n^k for k > 0 and
+    s_k = m^|k| - n^|k|, d_k = m^|k| for k < 0.  Since gcd(m, n) = 1,
+    s_k is coprime to mn, and with x = a/b
+
+        y = (a * s_q / s_p) * d_p / (b * d_q)
+
+    lies in Z[1/mn] exactly when s_p divides a * s_q: a miss costs one
+    divmod, and a hit has a denominator b * d_q built from m and n.
     """
     params = g.params
     if g.is_identity:
@@ -205,16 +300,18 @@ def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None
             "centralizer of the identity is the whole group; pick any element"
         )
     if params.is_abelian:
-        return MetabelianElement(params, Fraction(0), q)
+        return _element(params, 0, 1, q)
     if g.p == 0:
         return g if q == 0 else None
     if q == 0:
         return MetabelianElement.identity(params)
-    r = params.ratio
-    y = g.x * (1 - r ** q) / (1 - r ** g.p)
-    if not mn_member(y, params.m, params.n):
+    # 1 - r^k = (down_k - up_k) / down_k with r^k = up_k / down_k.
+    up_q, down_q = _t_power(params, q)
+    up_p, down_p = _t_power(params, g.p)
+    quot, rem = divmod(g.x.numerator * (down_q - up_q), down_p - up_p)
+    if rem:
         return None
-    return MetabelianElement(params, y, q)
+    return _element(params, quot * down_p, g.x.denominator * down_q, q)
 
 
 def subgroup_params(x: Fraction, p: int, ambient: MetabelianParams) -> MetabelianParams:

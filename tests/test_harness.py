@@ -1,7 +1,9 @@
 import json
+import threading
 
 import pytest
 
+from baumslag import harness
 from baumslag.errors import DomainError
 from baumslag.harness import (
     SuiteReport,
@@ -30,6 +32,60 @@ def test_run_trials_order_is_stable_across_jobs():
     parallel = _run_trials(30, "s", trial, jobs=4)
     assert serial == parallel
     assert [r["trial"] for r in serial] == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records the worker count and the
+    chunks, and maps in the calling thread."""
+
+    created: list[int] = []
+    chunks: list[list[int]] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        RecordingPool.chunks.extend(list(chunk) for chunk in items)
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3, 8])
+def test_run_trials_caps_workers_and_keeps_order(monkeypatch, cpus):
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    RecordingPool.created, RecordingPool.chunks = [], []
+
+    def trial(index, rng):
+        return [("p", str(rng.randint(0, 99)), "even", "odd")] if index % 2 else []
+
+    threads = threading.active_count()
+    serial = _run_trials(50, "s", trial, jobs=1)
+    assert RecordingPool.created == []
+    wide = _run_trials(50, "s", trial, jobs=10**6)
+    assert wide == serial
+    assert threading.active_count() == threads
+    workers = min(cpus or 1, 50)
+    if workers == 1:
+        assert RecordingPool.created == [] and RecordingPool.chunks == []
+    else:
+        assert RecordingPool.created == [workers]
+        assert len(RecordingPool.chunks) == workers
+        assert [i for chunk in RecordingPool.chunks for i in chunk] == list(range(50))
+    # Fewer trials than workers: one chunk per trial at most.
+    RecordingPool.created, RecordingPool.chunks = [], []
+    assert _run_trials(2, "s", trial, jobs=10**6) == serial[:1]
+    assert all(n <= 2 for n in RecordingPool.created)
+    # No trials: the pool is never built.
+    RecordingPool.created = []
+    assert _run_trials(0, "s", trial, jobs=10**6) == []
+    assert RecordingPool.created == []
 
 
 def test_failure_records_are_replayable():
