@@ -369,7 +369,6 @@ def _coprime_pairs(limit: int, ordered: bool) -> list[tuple[int, int]]:
 
 def cmd_verify(args) -> int:
     groups = [_parse_group(g) for g in args.group] if args.group else None
-    jobs = args.jobs
 
     def g_pairs(default: list[tuple[int, int]]) -> list[MetabelianParams]:
         if groups is None:
@@ -381,7 +380,6 @@ def cmd_verify(args) -> int:
             g_pairs(_coprime_pairs(7, ordered=False)),
             trials=args.trials if args.trials is not None else 10_000,
             seed=args.seed,
-            jobs=jobs,
         )
     elif args.suite == "oracle":
         if groups is None:
@@ -400,7 +398,6 @@ def cmd_verify(args) -> int:
             trials=args.trials if args.trials is not None else 10_000,
             max_len=30,
             seed=args.seed,
-            jobs=jobs,
         )
     elif args.suite == "z2":
         pairs = None
@@ -409,29 +406,26 @@ def cmd_verify(args) -> int:
         report = harness.suite_z2(
             bound=args.bound if args.bound is not None else 4,
             seed=args.seed,
-            jobs=jobs,
             pairs=pairs,
         )
     elif args.suite == "witnesses":
         report = harness.suite_witnesses(
-            g_pairs(_coprime_pairs(7, ordered=True)), seed=args.seed, jobs=jobs
+            g_pairs(_coprime_pairs(7, ordered=True)), seed=args.seed
         )
     elif args.suite == "bezout":
         report = harness.suite_bezout(
             g_pairs([(2, 3), (3, 5), (1, 2), (2, 7)]),
             k_max=args.bound if args.bound is not None else 5,
             seed=args.seed,
-            jobs=jobs,
         )
     elif args.suite == "classify":
         report = harness.suite_classify(
             g_pairs([(2, 3)]),
             trials=args.trials if args.trials is not None else 1000,
             seed=args.seed,
-            jobs=jobs,
         )
     elif args.suite == "gog":
-        report = harness.suite_gog(seed=args.seed, jobs=jobs)
+        report = harness.suite_gog(seed=args.seed)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     if args.format == "structured":
@@ -514,7 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", default="0")
     p.add_argument("--bound", type=int, default=None, help="z2 bound / bezout k max")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: trials run in one thread",
+    )
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

@@ -2,8 +2,8 @@
 
 Every suite produces a SuiteReport whose text and JSON renderings are
 byte-stable functions of (suite, parameters, seed): the i-th trial draws
-all of its randomness from ``random.Random(f"{seed}:{i}")``, so reports
-do not depend on scheduling and ``jobs > 1`` cannot change the output.
+all of its randomness from ``random.Random(f"{seed}:{i}")``, and trials
+run one after another in index order in the calling thread.
 A failure record carries the per-trial seed and the inputs needed to
 replay that single trial.
 
@@ -17,9 +17,7 @@ suite accepts overrides.
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -107,10 +105,6 @@ class SuiteReport:
 Problem = tuple[object, str, str, str]
 
 
-def _sub_seed(seed: int | str, index: int) -> str:
-    return f"{seed}:{index}"
-
-
 def _failure(trial: int, seed: str, problem: Problem) -> dict:
     """The failure record: the trial index and per-trial seed replay it."""
     params, inputs, expected, got = problem
@@ -133,32 +127,16 @@ def _run_trials(
     total: int,
     seed: int | str,
     trial: Callable[[int, random.Random], list[Problem]],
-    jobs: int = 1,
 ) -> list[dict]:
-    """Run independent trials and turn their problems into failure
-    records; aggregation order is by trial index, so the result is
-    identical for any worker count.
-
-    With jobs > 1 the indices are split into at most
-    min(jobs, cpu count, total) contiguous chunks, one per worker
-    thread, and the chunks' records are joined in index order."""
-
-    def run(indices: range) -> list[dict]:
-        failures: list[dict] = []
-        for index in indices:
-            sub = _sub_seed(seed, index)
-            failures.extend(
-                _failure(index, sub, p) for p in trial(index, random.Random(sub))
-            )
-        return failures
-
-    workers = min(jobs, os.cpu_count() or 1, total)
-    if workers <= 1:
-        return run(range(total))
-    size = -(-total // workers)
-    chunks = [range(total)[start : start + size] for start in range(0, total, size)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return [record for part in pool.map(run, chunks) for record in part]
+    """Run trials 0 .. total-1 in index order and turn their problems
+    into failure records."""
+    failures: list[dict] = []
+    for index in range(total):
+        sub = f"{seed}:{index}"
+        failures.extend(
+            _failure(index, sub, p) for p in trial(index, random.Random(sub))
+        )
+    return failures
 
 
 def random_element(
@@ -195,7 +173,6 @@ def suite_ct(
     params_list: Sequence,
     trials: int = 10_000,
     seed: int | str = 0,
-    jobs: int = 1,
     t_bound: int = T_BOUND,
     num_bound: int = NUM_BOUND,
     pow_bound: int = POW_BOUND,
@@ -234,7 +211,7 @@ def suite_ct(
             return [(params, f"h={h} g={g} k={k}", "[g, k] = 1", "g and k do not commute")]
         return [(params, "", "centralizer samples", "sampling exhausted")]
 
-    failures = _run_trials(total, seed, trial, jobs)
+    failures = _run_trials(total, seed, trial)
     return SuiteReport(
         suite="ct",
         parameters={
@@ -271,7 +248,6 @@ def suite_oracle(
     trials: int = 10_000,
     max_len: int = 30,
     seed: int | str = 0,
-    jobs: int = 1,
 ) -> SuiteReport:
     """Word-problem cross-validation on BS(1, k): Britton reduction must
     agree with evaluation in G(1, k) on random words."""
@@ -298,7 +274,7 @@ def suite_oracle(
             )
         ]
 
-    failures = _run_trials(total, seed, trial, jobs)
+    failures = _run_trials(total, seed, trial)
     return SuiteReport(
         suite="oracle",
         parameters={
@@ -317,7 +293,6 @@ def suite_z2(
     n_range: tuple[int, int] = (2, 4),
     bound: int = 4,
     seed: int | str = 0,
-    jobs: int = 1,
     pairs: Sequence[tuple[int, int]] | None = None,
 ) -> SuiteReport:
     """Rank-2 witness over a parameter grid: the generators t^-1 a t a
@@ -353,7 +328,7 @@ def suite_z2(
             )
         return out
 
-    failures = _run_trials(len(runnable), seed, trial, jobs)
+    failures = _run_trials(len(runnable), seed, trial)
     notes = [f"skipped BS({m},{n}): needs |m|, |n| > 1" for m, n in skipped]
     notes.append("faithfulness is checked up to the stated bound only")
     return SuiteReport(
@@ -369,9 +344,7 @@ def suite_z2(
     )
 
 
-def suite_witnesses(
-    params_list: Sequence, seed: int | str = 0, jobs: int = 1
-) -> SuiteReport:
+def suite_witnesses(params_list: Sequence, seed: int | str = 0) -> SuiteReport:
     """Re-verify the conjugate-power and malnormality-violation witnesses
     by evaluating their defining identities with group arithmetic."""
     groups = _coerce_params(params_list)
@@ -393,7 +366,7 @@ def suite_witnesses(
             return [(params, witness.describe(), verifies, "verification failed")]
         return []
 
-    failures = _run_trials(2 * len(groups), seed, trial, jobs)
+    failures = _run_trials(2 * len(groups), seed, trial)
     for params in groups:
         if params.is_abelian:
             notes.append(
@@ -416,7 +389,6 @@ def suite_bezout(
     params_list: Sequence,
     k_max: int = 5,
     seed: int | str = 0,
-    jobs: int = 1,
 ) -> SuiteReport:
     """Membership certificates for 1/m^k and 1/n^k: the Bezout identity,
     its rational evaluation, and the group-word realisation must all
@@ -444,7 +416,7 @@ def suite_bezout(
         inputs = f"k={k} side={side} q={cert.q} q'={cert.q_prime}"
         return [(params, inputs, name, "check failed") for name, ok in checks.items() if not ok]
 
-    failures = _run_trials(len(work), seed, trial, jobs)
+    failures = _run_trials(len(work), seed, trial)
     return SuiteReport(
         suite="bezout",
         parameters={
@@ -520,7 +492,6 @@ def suite_classify(
     params_list: Sequence,
     trials: int = 1000,
     seed: int | str = 0,
-    jobs: int = 1,
     t_bound: int = T_BOUND,
     num_bound: int = NUM_BOUND,
     pow_bound: int = POW_BOUND,
@@ -547,7 +518,7 @@ def suite_classify(
         _failure(-1, "fixed", ("G(2,3)", "fixed example", "tagged classification", p))
         for p in fixed_problems
     ]
-    failures.extend(_run_trials(total, seed, trial, jobs))
+    failures.extend(_run_trials(total, seed, trial))
     return SuiteReport(
         suite="classify",
         parameters={
@@ -599,9 +570,7 @@ def _gog_checks(gog: GraphOfGroups) -> list[tuple[str, str]]:
     return out
 
 
-def suite_gog(
-    names: Sequence[str] | None = None, seed: int | str = 0, jobs: int = 1
-) -> SuiteReport:
+def suite_gog(names: Sequence[str] | None = None, seed: int | str = 0) -> SuiteReport:
     """Fundamental-group builder checks on the built-in fixtures: the
     relator-count formula, equality of raw and simplified
     abelianizations, and invariance of the abelianization under every
@@ -615,7 +584,7 @@ def suite_gog(
             for expected, got in _gog_checks(load_fixture(name))
         ]
 
-    failures = _run_trials(len(names), seed, trial, jobs)
+    failures = _run_trials(len(names), seed, trial)
     return SuiteReport(
         suite="gog",
         parameters={"fixtures": " ".join(names), "seed": seed},

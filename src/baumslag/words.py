@@ -183,7 +183,10 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
                 exp, i = parse_int(skip_ws(i + 1))
             else:
                 exp = 1
-            if exp >= 0:
+            if len(atom) <= 1:
+                # One syllable: scale its exponent, so a^N costs O(digits of N).
+                piece = [(g, e * exp) for g, e in atom]
+            elif exp >= 0:
                 piece = atom * exp
             else:
                 piece = [(g, -e) for g, e in reversed(atom)] * (-exp)

@@ -2,10 +2,13 @@
 one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import contextlib
+import io
 import time
 from math import gcd
 
 from baumslag.abelianization import Abelianization, abelianization
+from baumslag.cli import main
 from baumslag.fixtures import fixture_names, load_fixture
 from baumslag.graph_of_groups import collapse_all_but_one, fundamental_presentation
 from baumslag.harness import (
@@ -14,9 +17,7 @@ from baumslag.harness import (
     suite_bezout,
     suite_classify,
     suite_ct,
-    suite_gog,
     suite_oracle,
-    suite_witnesses,
     suite_z2,
 )
 from baumslag.metabelian import (
@@ -111,22 +112,31 @@ def test_criterion_7_pi1_builder():
     report(7, "fundamental-group builder", ok, started)
 
 
+def _verify_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", *argv])
+    assert code == 0, f"verify {argv} exited {code}"
+    return out.getvalue()
+
+
 def test_criterion_8_determinism():
     started = time.time()
     runs = {
-        "oracle": lambda jobs: suite_oracle([2, 3], trials=400, seed=77, jobs=jobs),
-        "ct": lambda jobs: suite_ct([(2, 3)], trials=400, seed=77, jobs=jobs),
-        "z2": lambda jobs: suite_z2(bound=2, seed=77, jobs=jobs),
-        "witnesses": lambda jobs: suite_witnesses([(2, 3), (1, 1)], seed=77, jobs=jobs),
-        "bezout": lambda jobs: suite_bezout([(2, 3)], k_max=3, seed=77, jobs=jobs),
-        "classify": lambda jobs: suite_classify([(2, 3)], trials=400, seed=77, jobs=jobs),
-        "gog": lambda jobs: suite_gog(seed=77, jobs=jobs),
+        "oracle": ["--group", "BS(1,2)", "--group", "BS(1,3)", "--trials", "400"],
+        "ct": ["--group", "G(2,3)", "--trials", "400"],
+        "z2": ["--bound", "2"],
+        "witnesses": ["--group", "G(2,3)", "--group", "G(1,1)"],
+        "bezout": ["--group", "G(2,3)", "--bound", "3"],
+        "classify": ["--group", "G(2,3)", "--trials", "400"],
+        "gog": [],
     }
     ok = True
-    for make in runs.values():
-        first = make(1)
-        second = make(1)
-        parallel = make(3)
-        ok = ok and first.to_text() == second.to_text() == parallel.to_text()
-        ok = ok and first.to_json() == second.to_json() == parallel.to_json()
-    report(8, "seeded determinism incl. jobs > 1", ok, started)
+    for suite, args in runs.items():
+        for fmt in ("text", "structured"):
+            argv = ["--suite", suite, *args, "--seed", "77", "--format", fmt]
+            first = _verify_stdout([*argv, "--jobs", "1"])
+            second = _verify_stdout([*argv, "--jobs", "1"])
+            other_jobs = _verify_stdout([*argv, "--jobs", "3"])
+            ok = ok and first == second == other_jobs
+    report(8, "seeded determinism across --jobs values", ok, started)

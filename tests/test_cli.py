@@ -33,6 +33,15 @@ def test_reduce_examples(capsys):
     assert "trivial: yes" in out
 
 
+def test_reduce_huge_exponent(capsys):
+    # A 20-digit exponent on one letter: one syllable, nothing expanded.
+    code, out, err = run(
+        capsys, "reduce", "--group", "BS(2,3)", "--word", "a^10000000000000000000"
+    )
+    assert code == 0, err
+    assert "reduced: a^10000000000000000000" in out
+
+
 def test_reduce_structured(capsys):
     code, out, _ = run(
         capsys,
@@ -241,9 +250,12 @@ def test_verify_byte_stable_across_jobs(capsys):
         "5",
     ]
     code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args, "--jobs", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    assert code1 == 0
+    # --jobs is accepted and ignored, whatever its value.
+    for jobs in ("4", "0", "-1", "3"):
+        code2, out2, _ = run(capsys, *args, "--jobs", jobs)
+        assert code2 == 0
+        assert out2 == out1
 
 
 def test_verify_oracle_small(capsys):

@@ -1,9 +1,7 @@
 import json
-import threading
 
 import pytest
 
-from baumslag import harness
 from baumslag.errors import DomainError
 from baumslag.harness import (
     SuiteReport,
@@ -24,68 +22,16 @@ import random
 
 
 def test_run_trials_order_is_stable_across_jobs():
+    # One serial runner: records come in trial-index order, and a rerun
+    # with the same seed repeats them exactly.
     def trial(index, rng):
         draw = str(rng.randint(0, 10**6))
         return [("p", draw, "no draw", "a draw")] if index % 3 == 0 else []
 
-    serial = _run_trials(30, "s", trial, jobs=1)
-    parallel = _run_trials(30, "s", trial, jobs=4)
-    assert serial == parallel
-    assert [r["trial"] for r in serial] == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
-
-
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records the worker count and the
-    chunks, and maps in the calling thread."""
-
-    created: list[int] = []
-    chunks: list[list[int]] = []
-
-    def __init__(self, max_workers):
-        RecordingPool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        items = list(items)
-        RecordingPool.chunks.extend(list(chunk) for chunk in items)
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus", [None, 1, 3, 8])
-def test_run_trials_caps_workers_and_keeps_order(monkeypatch, cpus):
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    RecordingPool.created, RecordingPool.chunks = [], []
-
-    def trial(index, rng):
-        return [("p", str(rng.randint(0, 99)), "even", "odd")] if index % 2 else []
-
-    threads = threading.active_count()
-    serial = _run_trials(50, "s", trial, jobs=1)
-    assert RecordingPool.created == []
-    wide = _run_trials(50, "s", trial, jobs=10**6)
-    assert wide == serial
-    assert threading.active_count() == threads
-    workers = min(cpus or 1, 50)
-    if workers == 1:
-        assert RecordingPool.created == [] and RecordingPool.chunks == []
-    else:
-        assert RecordingPool.created == [workers]
-        assert len(RecordingPool.chunks) == workers
-        assert [i for chunk in RecordingPool.chunks for i in chunk] == list(range(50))
-    # Fewer trials than workers: one chunk per trial at most.
-    RecordingPool.created, RecordingPool.chunks = [], []
-    assert _run_trials(2, "s", trial, jobs=10**6) == serial[:1]
-    assert all(n <= 2 for n in RecordingPool.created)
-    # No trials: the pool is never built.
-    RecordingPool.created = []
-    assert _run_trials(0, "s", trial, jobs=10**6) == []
-    assert RecordingPool.created == []
+    first = _run_trials(30, "s", trial)
+    assert first == _run_trials(30, "s", trial)
+    assert [r["trial"] for r in first] == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
+    assert _run_trials(0, "s", trial) == []
 
 
 def test_failure_records_are_replayable():
@@ -96,7 +42,7 @@ def test_failure_records_are_replayable():
             return [("p", str(value), "value >= 20", "smaller")]
         return []
 
-    failures = _run_trials(50, 7, trial, jobs=1)
+    failures = _run_trials(50, 7, trial)
     assert failures
     for record in failures:
         assert record["seed"] == f"7:{record['trial']}"
@@ -117,11 +63,10 @@ def test_random_element_respects_bounds():
 def test_suite_ct_passes_and_is_deterministic():
     first = suite_ct([(2, 3), (1, 2)], trials=150, seed=42)
     second = suite_ct([(2, 3), (1, 2)], trials=150, seed=42)
-    parallel = suite_ct([(2, 3), (1, 2)], trials=150, seed=42, jobs=3)
     assert first.verdict == "pass"
     assert first.trials == 300
-    assert first.to_text() == second.to_text() == parallel.to_text()
-    assert first.to_json() == parallel.to_json()
+    assert first.to_text() == second.to_text()
+    assert first.to_json() == second.to_json()
     different = suite_ct([(2, 3), (1, 2)], trials=150, seed=43)
     assert different.to_text() != first.to_text()
 
@@ -153,7 +98,7 @@ def test_suite_oracle_passes():
     report = suite_oracle([2, 3, 5], trials=300, max_len=20, seed=11)
     assert report.verdict == "pass"
     assert report.trials == 900
-    again = suite_oracle([2, 3, 5], trials=300, max_len=20, seed=11, jobs=2)
+    again = suite_oracle([2, 3, 5], trials=300, max_len=20, seed=11)
     assert report.to_text() == again.to_text()
 
 

@@ -61,6 +61,21 @@ def test_parse_negative_and_multidigit_exponents():
     assert parse_word("a^-12 b^10", AB).letters == ((0, -12), (1, 10))
 
 
+def test_parse_single_syllable_power_is_one_syllable():
+    # The exponent is scaled, never expanded, so its size costs nothing.
+    huge = parse_word("a^" + "9" * 19, AT)
+    assert huge.letters == ((0, 10**19 - 1),)
+    assert parse_word("(a^2)^-3", AT) == parse_word("a^-6", AT)
+    assert parse_word("(a^2)^-3", AT).letters == ((0, -6),)
+    assert parse_word("()^" + "9" * 30, AT) == Word()
+    # Agrees with repeated multiplication where that is affordable.
+    rng = random.Random(8)
+    for _ in range(200):
+        inner, outer = rng.randint(-9, 9), rng.randint(-9, 9)
+        expected = Word([(1, inner)]) ** outer
+        assert parse_word(f"(t^{inner})^{outer}", AT) == expected
+
+
 def test_parse_nested_groups():
     w = parse_word("(a (b a)^2)^-1", AB)
     assert w == ~parse_word("a b a b a", AB)
