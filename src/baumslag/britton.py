@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .words import Word, format_word, parse_pair, parse_word
+from .words import MAX_SYLLABLES, Word, format_word, parse_pair, parse_word
 
 GENERATORS = ("a", "t")
 
@@ -58,6 +58,13 @@ class BsWord:
 
     @classmethod
     def from_word(cls, w: Word) -> "BsWord":
+        """Expand w's t-powers into one syllable per t-letter; raises
+        DomainError, before expanding, past MAX_SYLLABLES t-letters."""
+        t_letters = sum(abs(exp) for gen, exp in w.letters if gen == 1)
+        if t_letters > MAX_SYLLABLES:
+            raise DomainError(
+                f"word has {t_letters} t-letters, above the limit of {MAX_SYLLABLES}"
+            )
         lead = 0
         tail: list[list[int]] = []
         for gen, exp in w.letters:
@@ -109,11 +116,18 @@ class BsWord:
         return BsWord(lead, tail)
 
     def __pow__(self, k: int) -> "BsWord":
-        base = self if k >= 0 else ~self
-        out = BsWord()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        """The k-fold product, syllable for syllable: w = a^L T gives
+        w^k = a^L T'^(k-1) T, where T' is T with L added to its last
+        exponent."""
+        if k < 0:
+            return (~self) ** -k
+        if k == 0:
+            return BsWord()
+        if not self.tail:
+            return BsWord(self.lead * k)
+        sign, exp = self.tail[-1]
+        shifted = self.tail[:-1] + ((sign, exp + self.lead),)
+        return BsWord(self.lead, shifted * (k - 1) + self.tail)
 
 
 def commutator_word(u: BsWord, v: BsWord) -> BsWord:

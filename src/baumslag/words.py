@@ -13,6 +13,13 @@ Whitespace between terms is optional.  Generator tokens are matched
 maximal-munch against the declared alphabet, so single-letter generators
 may be juxtaposed ("tat" over {a, t}) while multi-letter names such as
 "e_bar" still tokenise as one generator.
+
+Powers are computed in closed form (see Word.__pow__), so ``a^N`` and
+``(t a t^-1)^N`` cost O(digits of N).  A power whose cyclically reduced
+core has two or more syllables has a result whose length grows with the
+exponent; when that length would exceed MAX_SYLLABLES (2^20) syllables,
+the power raises DomainError before building anything.  The CLI reports
+DomainError with exit code 3.
 """
 
 from __future__ import annotations
@@ -21,7 +28,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import DomainError
+
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# Largest number of syllables a power (or a BS(m,n) t-expansion) may build.
+MAX_SYLLABLES = 2**20
 
 
 class WordParseError(ValueError):
@@ -95,11 +107,46 @@ class Word:
         return Word((g, -e) for g, e in reversed(self.letters))
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return (~self) ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
+        """w^k in O(|w| + |w^k|) steps, with no k-fold multiplication.
+
+        Every reduced word is a conjugate w = c z c^-1 of a cyclically
+        reduced z (Lyndon & Schupp, Combinatorial Group Theory, I.1), and
+        w^k = c z^k c^-1.  A one-syllable z = g^e gives g^(e k).  Raises
+        DomainError if a longer z would yield more than MAX_SYLLABLES
+        syllables.
+        """
+        s = self.letters
+        if k == 1:
+            return self
+        if not k or not s:
+            return Word()
+        i = 0
+        while 2 * i + 1 < len(s) and s[-1 - i] == (s[i][0], -s[i][1]):
+            i += 1
+        c, z = s[:i], s[i : len(s) - i]
+        if k < 0 and len(z) > 1:
+            z, k = tuple((g, -e) for g, e in reversed(z)), -k
+        if len(z) == 1:
+            core = ((z[0][0], z[0][1] * k),)
+        else:
+            g, e = z[0]
+            if g == z[-1][0]:
+                # z = g^e y g^f: z^k = g^e (y g^(e+f))^(k-1) y g^f.
+                head, period, tail = z[:1], z[1:-1] + ((g, e + z[-1][1]),), z[1:]
+            else:
+                head, period, tail = (), z, z
+            size = 2 * len(c) + len(head) + len(period) * (k - 1) + len(tail)
+            if size > MAX_SYLLABLES:
+                raise DomainError(
+                    f"power {k} of a word with a {len(z)}-syllable core has {size} "
+                    f"syllables, above the limit of {MAX_SYLLABLES}"
+                )
+            core = head + period * (k - 1) + tail
+        # Adjacent generators differ at every seam, so the result is
+        # already reduced and skips _reduce.
+        out = object.__new__(Word)
+        inverse_c = tuple((g, -e) for g, e in reversed(c))
+        object.__setattr__(out, "letters", c + core + inverse_c)
         return out
 
     def __repr__(self) -> str:
@@ -132,9 +179,9 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     Raises UnknownGeneratorError, MalformedExponentError, or
     UnbalancedParenthesisError, each carrying the offending position.
     """
-    index = {name: i for i, name in enumerate(alphabet)}
+    atoms = {name: Word(((i, 1),)) for i, name in enumerate(alphabet)}
     # Longest declared name wins at every position.
-    names = sorted(index, key=lambda s: (-len(s), s))
+    names = sorted(atoms, key=lambda s: (-len(s), s))
 
     def skip_ws(i: int) -> int:
         while i < len(text) and text[i].isspace():
@@ -167,7 +214,7 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
                 return letters, i
             if c == "(":
                 inner, j = parse_sequence(i + 1, i)
-                atom = inner
+                atom = Word(inner)
                 i = j + 1  # past ')'
             else:
                 hit = next((n for n in names if text.startswith(n, i)), None)
@@ -176,21 +223,14 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
                     if m:
                         raise UnknownGeneratorError(f"unknown generator {m.group()!r}", i)
                     raise WordParseError(f"unexpected character {c!r}", i)
-                atom = [(index[hit], 1)]
+                atom = atoms[hit]
                 i += len(hit)
             i = skip_ws(i)
             if i < len(text) and text[i] == "^":
                 exp, i = parse_int(skip_ws(i + 1))
             else:
                 exp = 1
-            if len(atom) <= 1:
-                # One syllable: scale its exponent, so a^N costs O(digits of N).
-                piece = [(g, e * exp) for g, e in atom]
-            elif exp >= 0:
-                piece = atom * exp
-            else:
-                piece = [(g, -e) for g, e in reversed(atom)] * (-exp)
-            letters.extend(piece)
+            letters.extend((atom ** exp).letters)
         # unreachable
 
     letters, _ = parse_sequence(0, None)

@@ -14,6 +14,7 @@ from baumslag.britton import (
 )
 from baumslag.errors import DomainError
 from baumslag.metabelian import MetabelianElement, MetabelianParams, eval_word
+from baumslag.words import MAX_SYLLABLES, Word
 
 BS23 = BsParams(2, 3)
 
@@ -81,6 +82,33 @@ def test_concat_invert_pow():
     assert W("a t") ** 2 == W("a t a t")
     assert W("a t") ** -1 == W("t^-1 a^-1")
     assert (W("a t") * ~W("a t")).tail == ((1, 0), (-1, -1))  # raw, not yet reduced
+
+
+def test_bsword_power_matches_repeated_product():
+    # BsWord is not re-reduced, so the closed form must equal the k-fold
+    # product syllable for syllable, zero exponents included.
+    rng = random.Random(7919)
+    words = [BsWord(), BsWord(5), W("a t"), W("t^-1 a t a")]
+    for _ in range(200):
+        tail = tuple(
+            (rng.choice((1, -1)), rng.randint(-2, 2)) for _ in range(rng.randint(0, 5))
+        )
+        words.append(BsWord(rng.randint(-3, 3), tail))
+    for w in words:
+        for k in range(-7, 8):
+            base = w if k >= 0 else ~w
+            expected = BsWord()
+            for _ in range(abs(k)):
+                expected = expected * base
+            assert w ** k == expected, (w, k)
+
+
+def test_from_word_limits_t_letters():
+    with pytest.raises(DomainError):
+        BsWord.from_word(Word([(1, 10**19)]))
+    with pytest.raises(DomainError):
+        BsWord.from_word(Word([(1, -MAX_SYLLABLES), (0, 1), (1, 1)]))
+    assert BsWord.from_word(Word([(0, 10**19)])) == BsWord(10**19)
 
 
 def test_britton_reduce_examples():

@@ -42,6 +42,28 @@ def test_reduce_huge_exponent(capsys):
     assert "reduced: a^10000000000000000000" in out
 
 
+def test_reduce_huge_multi_syllable_power(capsys):
+    code, out, err = run(
+        capsys, "reduce", "--group", "BS(2,3)", "--word", "(t a t^-1)^10000000000000000000"
+    )
+    assert code == 0, err
+    assert "reduced: t a^10000000000000000000 t^-1" in out
+
+
+def test_reduce_over_syllable_limit_exits_3(capsys):
+    for word in ("(a t)^10000000000000000000", "t^10000000000000000000"):
+        code, out, err = run(capsys, "reduce", "--group", "BS(2,3)", "--word", word)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "limit of 1048576" in err
+
+
+def test_cert_large_k(capsys):
+    code, out, err = run(capsys, "cert", "--group", "G(2,3)", "--target", "1/n^200")
+    assert code == 0, err
+    assert "verified: yes" in out
+
+
 def test_reduce_structured(capsys):
     code, out, _ = run(
         capsys,

@@ -233,6 +233,14 @@ def test_bezout_certificate_m_side_and_word():
                 assert eval_word(cert.word, params) == cert.target
 
 
+def test_bezout_certificate_large_k_is_short():
+    # (t^k a t^-k)^q a^q' has |q| ~ 3^200; the word is t^k a^q t^-k a^q'.
+    for side in ("n", "m"):
+        cert = bezout_certificate(G23, 200, side)
+        assert cert.verify()
+        assert len(cert.word) <= 5
+
+
 def test_bezout_certificate_guard():
     with pytest.raises(DomainError):
         bezout_certificate(G11, 1, "n")

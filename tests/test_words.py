@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from baumslag.errors import DomainError
 from baumslag.words import (
+    MAX_SYLLABLES,
     MalformedExponentError,
     Presentation,
     UnbalancedParenthesisError,
@@ -74,6 +76,65 @@ def test_parse_single_syllable_power_is_one_syllable():
         inner, outer = rng.randint(-9, 9), rng.randint(-9, 9)
         expected = Word([(1, inner)]) ** outer
         assert parse_word(f"(t^{inner})^{outer}", AT) == expected
+
+
+def test_parse_multi_syllable_power_is_closed_form():
+    # (t a t^-1)^N = t a^N t^-1: three syllables whatever the size of N.
+    w = parse_word("(t a t^-1)^" + "1" + "0" * 19, AT)
+    assert w.letters == ((1, 1), (0, 10**19), (1, -1))
+    assert parse_word("(t a t^-1)^-4", AT).letters == ((1, 1), (0, -4), (1, -1))
+    assert parse_word("((a t)^3)^-2", AT) == ~parse_word("a t a t a t a t a t a t", AT)
+
+
+def power_by_products(w, k):
+    """Reference power: |k| multiplications, as in the definition."""
+    base = w if k >= 0 else ~w
+    out = Word()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def test_word_power_matches_repeated_multiplication():
+    rng = random.Random(20260)
+
+    def syllables(count):
+        return [(rng.randrange(3), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(count)]
+
+    shapes = []
+    for _ in range(150):
+        core = Word(syllables(rng.randint(0, 6)))
+        c = Word(syllables(rng.randint(1, 4)))
+        g, e, f = rng.randrange(3), rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3])
+        shapes += [
+            core,  # arbitrary reduced word
+            c * core * ~c,  # a conjugate: inverse syllables at both ends
+            Word([(g, e)]) * core * Word([(g, e + f)]),  # same generator, not inverse
+            Word(syllables(1)),  # one syllable
+        ]
+    for w in shapes:
+        for k in range(-7, 8):
+            got = w ** k
+            assert got == power_by_products(w, k), (w, k)
+            assert Word(got.letters).letters == got.letters  # already reduced
+
+
+def test_word_power_size_limit():
+    ab = Word([(0, 1), (1, 1)])
+    assert len(ab ** (MAX_SYLLABLES // 2)) == MAX_SYLLABLES
+    with pytest.raises(DomainError):
+        ab ** (MAX_SYLLABLES // 2 + 1)
+    with pytest.raises(DomainError):
+        ab ** -(10**19)
+    # c z c^-1 with z = b a: the conjugator counts twice, once per end.
+    conj = Word([(2, 1)]) * ab * Word([(2, -1)])
+    assert len(conj ** (MAX_SYLLABLES // 2 - 1)) == MAX_SYLLABLES
+    with pytest.raises(DomainError):
+        conj ** (MAX_SYLLABLES // 2)
+    # A one-syllable core only scales an exponent and is never limited.
+    assert (Word([(0, 1)]) ** 10**19).letters == ((0, 10**19),)
+    conj_a = Word([(2, 1), (0, 1), (2, -1)])
+    assert (conj_a ** -(10**19)).letters == ((2, 1), (0, -(10**19)), (2, -1))
 
 
 def test_parse_nested_groups():
