@@ -287,18 +287,46 @@ def _remap(w: Word, index_of_local: list[int]) -> Word:
     return Word((index_of_local[gen], exp) for gen, exp in w.letters)
 
 
+def _least_rotation(s: list) -> tuple:
+    """The lexicographically least rotation of s, in O(len(s)) comparisons
+    (Booth, Lexicographically least circular substrings, IPL 10, 1980)."""
+    n = len(s)
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j % n]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[(k + i + 1) % n]:
+            if sj < s[(k + i + 1) % n]:
+                k = j - i - 1
+            i = f[i]
+        if i == -1 and sj != s[k % n]:
+            if sj < s[k % n]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    k %= n
+    return tuple(s[k:] + s[:k])
+
+
 def _cyclic_key(w: Word) -> tuple:
-    atoms: list[tuple[int, int]] = []
-    for gen, exp in w.letters:
-        atoms.extend([(gen, 1 if exp > 0 else -1)] * abs(exp))
-    if not atoms:
+    """Equal for two words exactly when their letter sequences are equal
+    up to rotation and inversion.
+
+    The cyclic letter sequence is taken as its runs of one letter: the
+    syllables, with the first and last merged when they carry the same
+    generator and sign.  The key is the least rotation of that run
+    sequence or of its inverse, so no exponent is expanded into letters.
+    """
+    runs = list(w.letters)
+    if len(runs) > 1 and runs[0][0] == runs[-1][0] and (runs[0][1] > 0) == (runs[-1][1] > 0):
+        gen, exp = runs.pop()
+        runs[0] = (gen, runs[0][1] + exp)
+    if not runs:
         return ()
-    candidates = []
-    inverse = [(g, -s) for g, s in reversed(atoms)]
-    for seq in (atoms, inverse):
-        for shift in range(len(seq)):
-            candidates.append(tuple(seq[shift:] + seq[:shift]))
-    return min(candidates)
+    inverse = [(g, -e) for g, e in reversed(runs)]
+    return min(_least_rotation(runs), _least_rotation(inverse))
 
 
 @dataclass(frozen=True)

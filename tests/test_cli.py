@@ -200,6 +200,29 @@ def test_pi1(tmp_path, capsys):
     assert "assumption" in out
 
 
+def test_pi1_big_exponent_vertex_relator(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "vertices": {"v": {"generators": ["a"], "relators": ["a^1000000000000"]}},
+        "edges": [],
+    }))
+    code, out, err = run(capsys, "pi1", "--input", str(path))
+    assert code == 0, err
+    assert "abelianization: Z/1000000000000" in out
+
+
+def test_pi1_dedups_big_exponent_relators_up_to_rotation_and_inverse(tmp_path, capsys):
+    path = tmp_path / "dedup.json"
+    path.write_text(json.dumps({
+        "vertices": {"v": {"generators": ["a", "b"],
+                           "relators": ["a^3000 b", "b a^3000", "b^-1 a^-3000"]}},
+        "edges": [],
+    }))
+    code, out, err = run(capsys, "pi1", "--input", str(path))
+    assert code == 0, err
+    assert "simplified: < a, b | a^3000 b >" in out
+
+
 def test_pi1_structured_and_tree_override(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     path.write_text(fixture_text("triangle"))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from baumslag.graph_of_groups import (
     GogValidationError,
     GraphOfGroups,
     SerreGraph,
+    _cyclic_key,
     collapse_all_but_one,
     dumps,
     essential_check,
@@ -323,3 +325,46 @@ def test_index_meta_survives_round_trip():
     gog = load_fixture("declared_infinite_loop")
     again = loads(dumps(gog))
     assert again.index_meta == gog.index_meta
+
+
+def _letter_key(w):
+    """Reference relator key: the least of all rotations of the letter
+    sequence and of its inverse, one letter per unit of exponent."""
+    letters = []
+    for gen, exp in w.letters:
+        letters.extend([(gen, 1 if exp > 0 else -1)] * abs(exp))
+    if not letters:
+        return ()
+    inverse = [(g, -s) for g, s in reversed(letters)]
+    return min(tuple(seq[k:] + seq[:k]) for seq in (letters, inverse) for k in range(len(seq)))
+
+
+def test_cyclic_key_matches_letter_rotation_reference():
+    rng = random.Random(1980)
+    exps = (-3, -2, -1, 1, 2, 3)
+    words = [Word(), Word([(0, 1)]), Word([(1, -3)])]
+    for _ in range(300):
+        words.append(Word((rng.randrange(3), rng.choice(exps)) for _ in range(rng.randint(1, 6))))
+        g, e, f = rng.randrange(3), rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        s = rng.choice((1, -1))
+        middle = [(h, rng.choice(exps)) for h in rng.sample([h for h in range(3) if h != g], 2)]
+        words.append(Word([(g, s * e)] + middle + [(g, s * f)]))  # ends merge
+        words.append(Word([(g, s * e)] + middle + [(g, -s * f)]))  # ends do not
+    variants = []
+    for w in words:
+        letters = [(gen, 1 if exp > 0 else -1) for gen, exp in w.letters for _ in range(abs(exp))]
+        rotations = [Word(letters[k:] + letters[:k]) for k in range(len(letters))]
+        if w:
+            (g, e), (h, f) = w.letters[0], w.letters[-1]
+            if g != h or (e > 0) == (f > 0):
+                # Cyclically reduced: every rotation keeps all of its letters.
+                assert {_cyclic_key(r) for r in rotations} == {_cyclic_key(w)}
+        variants += rotations + [~w]
+    words += variants
+    new_of_ref, ref_of_new = {}, {}
+    for w in words:
+        ref, new = _letter_key(w), _cyclic_key(w)
+        assert new_of_ref.setdefault(ref, new) == new, w
+        assert ref_of_new.setdefault(new, ref) == ref, w
+    assert len(new_of_ref) < len(words) / 2
+    assert _cyclic_key(Word()) == ()
