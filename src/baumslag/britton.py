@@ -13,6 +13,20 @@ through reducing u * v^-1 rather than comparing reduced words.  Pinches
 are searched leftmost-first; any strategy terminates (each rewrite
 removes two t-letters) and the triviality answer does not depend on it.
 
+britton_reduce is the stack form of leftmost-first rewriting (Lyndon &
+Schupp, Combinatorial Group Theory, IV.2), one pass over the syllables.
+The stack holds the pinch-free prefix read so far.  Whether t^s1 a^e1
+t^s2 is a pinch depends on s1, s2 and e1 only; a rewrite adds the merged
+exponent to the syllable before it, which changes that syllable's e and
+so can only create a pinch with the next syllable, never with the one
+before.  So testing each incoming syllable once against the top, and
+after a pinch testing the next one against the new top, makes exactly
+the rewrites of the leftmost-first rescan, in the same order, in time
+linear in the t-length (plus the integer arithmetic).  A merged exponent
+past MAX_EXPONENT_BITS bits raises DomainError: BS(1,2) doubles it per
+pinch, so t^-k a t^k would otherwise cost Theta(k^2) bit operations and
+give an integer too long to print.
+
 For the soluble case BS(1, k) the assignment a -> (1, 0), t -> (0, 1) is
 an isomorphism onto G(1, k), giving an independent word-problem oracle
 (metabelian.eval_word) used for cross-validation.
@@ -26,6 +40,10 @@ from .errors import DomainError
 from .words import MAX_SYLLABLES, Word, format_word, parse_pair, parse_word
 
 GENERATORS = ("a", "t")
+
+# Largest bit length a pinch may give a merged exponent: below the ~14 284
+# bits of CPython's default 4 300-digit limit on printing an int.
+MAX_EXPONENT_BITS = 14_000
 
 
 @dataclass(frozen=True)
@@ -135,31 +153,35 @@ def commutator_word(u: BsWord, v: BsWord) -> BsWord:
 
 
 def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
-    """Rewrite pinches leftmost-first until none remain.
+    """Rewrite pinches leftmost-first until none remain, in one pass.
 
     t^-1 a^s t -> a^(s*n/m) when m | s, and t a^s t^-1 -> a^(s*m/n) when
-    n | s; every step removes two t-letters, so the loop terminates.
+    n | s.  The stack holds the pinch-free prefix of the rewritten word;
+    each incoming syllable is tested once against its top.  Raises
+    DomainError when a merged exponent passes MAX_EXPONENT_BITS bits.
     """
+    m, n = params.m, params.n
     lead = w.lead
-    tail = [[s, e] for s, e in w.tail]
-    j = 0
-    while j < len(tail) - 1:
-        sign, exp = tail[j]
-        next_sign, next_exp = tail[j + 1]
-        if sign == -1 and next_sign == 1 and exp % params.m == 0:
-            merged = exp // params.m * params.n + next_exp
-        elif sign == 1 and next_sign == -1 and exp % params.n == 0:
-            merged = exp // params.n * params.m + next_exp
+    signs: list[int] = []
+    exps: list[int] = []
+    for sign, exp in w.tail:
+        if signs and signs[-1] == -sign and exps[-1] % (m if sign == 1 else n) == 0:
+            signs.pop()
+            top = exps.pop()
+            merged = (top // m * n if sign == 1 else top // n * m) + exp
+            if merged.bit_length() > MAX_EXPONENT_BITS:
+                raise DomainError(
+                    f"pinch exponent has {merged.bit_length()} bits, above the "
+                    f"limit of {MAX_EXPONENT_BITS}"
+                )
+            if exps:
+                exps[-1] += merged
+            else:
+                lead += merged
         else:
-            j += 1
-            continue
-        del tail[j : j + 2]
-        if j == 0:
-            lead += merged
-        else:
-            tail[j - 1][1] += merged
-        j = max(j - 1, 0)
-    return BsWord(lead, tuple((s, e) for s, e in tail))
+            signs.append(sign)
+            exps.append(exp)
+    return BsWord(lead, tuple(zip(signs, exps)))
 
 
 def is_trivial(w: BsWord, params: BsParams) -> bool:
@@ -203,7 +225,16 @@ class Z2WitnessReport:
 
 def z2_witness(params: BsParams, bound: int) -> Z2WitnessReport:
     """Check that u = t^-1 a t a and v = a^n commute and that no small
-    nonzero power u^i v^j collapses.  Requires |m|, |n| > 1."""
+    nonzero power u^i v^j collapses.  Requires |m|, |n| > 1.
+
+    Each u^i is reduced once and every pair is then decided in O(1).
+    u^i v^j is u^i with n*j added to its last exponent.  The stack of
+    britton_reduce never revisits a prefix, and an incoming syllable is
+    tested by its sign and the top's exponent, not by its own exponent;
+    so the reduction of u^i v^j makes the same rewrites as that of u^i
+    and ends with n*j added to the last exponent.  Hence u^i v^j is
+    trivial iff britton_reduce(u^i) has an empty tail and lead + n*j == 0.
+    """
     if abs(params.m) <= 1 or abs(params.n) <= 1:
         raise DomainError(
             f"witness needs |m|, |n| > 1, got ({params.m}, {params.n})"
@@ -214,22 +245,20 @@ def z2_witness(params: BsParams, bound: int) -> Z2WitnessReport:
     v = BsWord(params.n)
     comm_trivial = is_trivial(commutator_word(u, v), params)
     collapsed = []
-    checked = 0
-    powers_u = {i: u ** i for i in range(-bound, bound + 1)}
-    powers_v = {j: v ** j for j in range(-bound, bound + 1)}
     for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            if i == 0 and j == 0:
-                continue
-            checked += 1
-            if is_trivial(powers_u[i] * powers_v[j], params):
-                collapsed.append((i, j))
+        r = britton_reduce(u ** i, params)
+        if not r.tail:
+            collapsed.extend(
+                (i, j)
+                for j in range(-bound, bound + 1)
+                if (i or j) and r.lead + params.n * j == 0
+            )
     return Z2WitnessReport(
         params=params,
         bound=bound,
         u=u,
         v=v,
         commutator_is_trivial=comm_trivial,
-        pairs_checked=checked,
+        pairs_checked=(2 * bound + 1) ** 2 - 1,
         collapsed_pairs=tuple(collapsed),
     )

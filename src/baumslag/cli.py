@@ -435,6 +435,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.verdict == "pass" else EXIT_VERIFICATION_FAILED
 
 
+# argparse wraps a long generated usage line differently across Python
+# versions (3.13 changed it), so the verify usage is spelled out.
+_USAGE_INDENT = " " * len("usage: baumslag verify ")
+VERIFY_USAGE = f"\n{_USAGE_INDENT}".join(
+    (
+        "%(prog)s [-h] --suite",
+        "{ct,oracle,z2,witnesses,bezout,classify,gog}",
+        "[--group GROUP] [--trials TRIALS] [--seed SEED]",
+        "[--bound BOUND] [--jobs JOBS]",
+        "[--format {text,structured}]",
+    )
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baumslag",
@@ -494,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_pi1)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite", usage=VERIFY_USAGE)
     p.add_argument(
         "--suite",
         required=True,

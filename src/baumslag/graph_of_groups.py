@@ -632,16 +632,18 @@ def loads(text: str) -> GraphOfGroups:
             "'relators' must be a list of strings",
             f"{path}.relators",
         )
+        # Names are checked first: the parser tokenises identifiers only.
+        try:
+            Presentation(tuple(gens), ())
+        except ValueError as err:
+            raise GogFileError(str(err), f"{path}.generators") from None
         relators = []
         for i, rel in enumerate(rels):
             try:
                 relators.append(parse_word(rel, gens))
             except WordParseError as err:
                 raise GogFileError(str(err), f"{path}.relators[{i}]") from None
-        try:
-            vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
-        except ValueError as err:
-            raise GogFileError(str(err), f"{path}.generators") from None
+        vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
 
     edge_triples: list[tuple[str, str, str]] = []
     edge_generators: dict[str, tuple[str, ...]] = {}

@@ -1,4 +1,4 @@
-"""Free words over a generator alphabet, presentations, and the shared
+r"""Free words over a generator alphabet, presentations, and the shared
 word grammar.
 
 Grammar (used by the CLI, graph-of-groups files, and test fixtures):
@@ -9,10 +9,15 @@ Grammar (used by the CLI, graph-of-groups files, and test fixtures):
     ident := letter (letter | digit | "_")*
     int   := "-"? digit+
 
-Whitespace between terms is optional.  Generator tokens are matched
-maximal-munch against the declared alphabet, so single-letter generators
-may be juxtaposed ("tat" over {a, t}) while multi-letter names such as
-"e_bar" still tokenise as one generator.
+Whitespace (``\s``, which is exactly str.isspace) between terms is
+optional.  Generator tokens are matched maximal-munch against the
+declared alphabet, so single-letter generators may be juxtaposed ("tat"
+over {a, t}) while multi-letter names such as "e_bar" still tokenise as
+one generator: parse_word scans each ident with one compiled pattern and
+splits it at the longest declared name at each offset.  Digits are
+``\d``, exactly the decimal digits int() accepts ("a^²" is a malformed
+exponent, not a crash).  An exponent longer than the interpreter's
+integer-conversion limit (4 300 digits by default) raises DomainError.
 
 Powers are computed in closed form (see Word.__pow__), so ``a^N`` and
 ``(t a t^-1)^N`` cost O(digits of N).  A power whose cyclically reduced
@@ -25,12 +30,21 @@ DomainError with exit code 3.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# One term of the grammar after optional whitespace: "(", or an ident or
+# ")" with an optional exponent.  A "^" without an integer after it still
+# matches (group "exp" is None), so the error can name the position.
+TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<open>\()|(?:(?P<ident>{IDENT_RE.pattern})|(?P<close>\)))"
+    r"(?:\s*(?P<caret>\^)\s*(?P<exp>-?\d+)?)?)"
+)
+SPACE_RE = re.compile(r"\s*")
 
 # Largest number of syllables a power (or a BS(m,n) t-expansion) may build.
 MAX_SYLLABLES = 2**20
@@ -177,64 +191,75 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse ``text`` over ``alphabet`` into a freely reduced Word.
 
     Raises UnknownGeneratorError, MalformedExponentError, or
-    UnbalancedParenthesisError, each carrying the offending position.
+    UnbalancedParenthesisError, each carrying the offending position, and
+    DomainError for an exponent past the interpreter's integer-conversion
+    digit limit.
     """
-    atoms = {name: Word(((i, 1),)) for i, name in enumerate(alphabet)}
-    # Longest declared name wins at every position.
-    names = sorted(atoms, key=lambda s: (-len(s), s))
-
-    def skip_ws(i: int) -> int:
-        while i < len(text) and text[i].isspace():
-            i += 1
-        return i
-
-    def parse_int(i: int) -> tuple[int, int]:
-        start = i
-        if i < len(text) and text[i] == "-":
-            i += 1
-        digits = i
-        while i < len(text) and text[i].isdigit():
-            i += 1
-        if i == digits:
-            raise MalformedExponentError("malformed exponent", start)
-        return int(text[start:i]), i
-
-    def parse_sequence(i: int, open_at: int | None) -> tuple[list[tuple[int, int]], int]:
-        letters: list[tuple[int, int]] = []
-        while True:
-            i = skip_ws(i)
-            if i >= len(text):
-                if open_at is not None:
-                    raise UnbalancedParenthesisError("unclosed parenthesis", open_at)
-                return letters, i
-            c = text[i]
-            if c == ")":
-                if open_at is None:
-                    raise UnbalancedParenthesisError("unmatched closing parenthesis", i)
-                return letters, i
-            if c == "(":
-                inner, j = parse_sequence(i + 1, i)
-                atom = Word(inner)
-                i = j + 1  # past ')'
-            else:
-                hit = next((n for n in names if text.startswith(n, i)), None)
-                if hit is None:
-                    m = IDENT_RE.match(text, i)
-                    if m:
-                        raise UnknownGeneratorError(f"unknown generator {m.group()!r}", i)
-                    raise WordParseError(f"unexpected character {c!r}", i)
-                atom = atoms[hit]
-                i += len(hit)
-            i = skip_ws(i)
-            if i < len(text) and text[i] == "^":
-                exp, i = parse_int(skip_ws(i + 1))
-            else:
-                exp = 1
-            letters.extend((atom ** exp).letters)
-        # unreachable
-
-    letters, _ = parse_sequence(0, None)
-    return Word(letters)
+    index = {name: i for i, name in enumerate(alphabet)}
+    longest = max(map(len, index), default=0)
+    letters: list[tuple[int, int]] = []
+    # One (enclosing letters, position of "(") entry per open parenthesis.
+    stack: list[tuple[list[tuple[int, int]], int]] = []
+    i = 0
+    while True:
+        m = TOKEN_RE.match(text, i)
+        if m is None:
+            i = SPACE_RE.match(text, i).end()
+            if i < len(text):
+                raise WordParseError(f"unexpected character {text[i]!r}", i)
+            if stack:
+                raise UnbalancedParenthesisError("unclosed parenthesis", stack[-1][1])
+            return Word(letters)
+        i = m.end()
+        opened, ident, _, caret, digits = m.groups()
+        if opened:
+            stack.append((letters, m.start("open")))
+            letters = []
+            continue
+        if ident is None:
+            if not stack:
+                raise UnbalancedParenthesisError(
+                    "unmatched closing parenthesis", m.start("close")
+                )
+            group = Word(letters)
+            letters = stack.pop()[0]
+        else:
+            gen = index.get(ident)
+            if gen is None:
+                # Maximal munch: the longest declared name at each offset.
+                start, stop = m.start("ident"), m.end("ident")
+                while True:
+                    size = min(longest, stop - start)
+                    while size and text[start : start + size] not in index:
+                        size -= 1
+                    if not size:
+                        name = IDENT_RE.match(text, start)
+                        if name:
+                            raise UnknownGeneratorError(
+                                f"unknown generator {name.group()!r}", start
+                            )
+                        raise WordParseError(f"unexpected character {text[start]!r}", start)
+                    gen = index[text[start : start + size]]
+                    start += size
+                    if start == stop:
+                        break
+                    letters.append((gen, 1))
+        if caret is None:
+            exp = 1
+        elif digits is None:
+            raise MalformedExponentError("malformed exponent", i)
+        else:
+            try:
+                exp = int(digits)
+            except ValueError:
+                raise DomainError(
+                    f"exponent has {len(digits.lstrip('-'))} digits, above the "
+                    f"limit of {sys.get_int_max_str_digits()} for integer conversion"
+                ) from None
+        if ident is None:
+            letters.extend((group ** exp).letters)
+        elif exp:
+            letters.append((gen, exp))
 
 
 def parse_pair(text: str, family: str) -> tuple[int, int]:

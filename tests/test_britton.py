@@ -3,6 +3,7 @@ import random
 import pytest
 
 from baumslag.britton import (
+    MAX_EXPONENT_BITS,
     BsParams,
     BsWord,
     britton_reduce,
@@ -55,6 +56,44 @@ def random_bs_word(rng, max_len=20):
         else:
             tail.append([1 if c == 2 else -1, 0])
     return BsWord(lead, tuple((s, e) for s, e in tail))
+
+
+def reference_reduce(w, params):
+    """The quadratic leftmost-first loop that britton_reduce replaced,
+    kept as its differential oracle: rescan from the pinch's left
+    neighbour after every rewrite."""
+    lead = w.lead
+    tail = [[s, e] for s, e in w.tail]
+    j = 0
+    while j < len(tail) - 1:
+        sign, exp = tail[j]
+        next_sign, next_exp = tail[j + 1]
+        if sign == -1 and next_sign == 1 and exp % params.m == 0:
+            merged = exp // params.m * params.n + next_exp
+        elif sign == 1 and next_sign == -1 and exp % params.n == 0:
+            merged = exp // params.n * params.m + next_exp
+        else:
+            j += 1
+            continue
+        del tail[j : j + 2]
+        if j == 0:
+            lead += merged
+        else:
+            tail[j - 1][1] += merged
+        j = max(j - 1, 0)
+    return BsWord(lead, tuple((s, e) for s, e in tail))
+
+
+def pinchy_bs_word(rng, params, max_len=40):
+    """A random syllable word whose exponents are mostly multiples of m,
+    n or mn, so that pinches, cascades and cancellations are frequent."""
+    m, n = params.m, params.n
+    choices = (0, m, -m, n, -n, m * n, -m * n, m * m, n * n)
+    tail = tuple(
+        (rng.choice((1, -1)), rng.choice(choices) if rng.random() < 0.8 else rng.randint(-4, 4))
+        for _ in range(rng.randint(0, max_len))
+    )
+    return BsWord(rng.choice(choices), tail)
 
 
 def test_params_validation():
@@ -219,3 +258,66 @@ def test_z2_witness_guards():
 def test_z2_witness_negative_params():
     assert z2_witness(BsParams(-2, 3), 2).verified
     assert z2_witness(BsParams(2, -3), 2).verified
+
+
+DIFFERENTIAL_PARAMS = [
+    (2, 3), (-2, 3), (2, -3), (4, 6), (3, -9), (1, 1), (1, -1), (-1, -1),
+    (1, 2), (2, 1), (1, 5), (6, 4), (2, 2), (-3, -3),
+]
+
+
+@pytest.mark.parametrize("m,n", DIFFERENTIAL_PARAMS)
+def test_britton_reduce_matches_reference(m, n):
+    params = BsParams(m, n)
+    rng = random.Random(f"britton:{m}:{n}")
+    for _ in range(600):
+        w = pinchy_bs_word(rng, params) if rng.random() < 0.75 else random_bs_word(rng, 30)
+        assert britton_reduce(w, params) == reference_reduce(w, params), w
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, -1), (2, 2), (2, 4), (3, -9)])
+def test_britton_reduce_matches_reference_on_cascades(m, n):
+    # t^-k a^(m^k) t^k nested k deep collapses one pinch per level.
+    params = BsParams(m, n)
+    rng = random.Random(f"cascade:{m}:{n}")
+    for depth in range(12):
+        for _ in range(10):
+            tail = ((-1, 0),) * (depth - 1) + ((-1, m**depth),) if depth else ()
+            tail += tuple((1, rng.choice((0, 0, m, n, 1))) for _ in range(depth))
+            w = BsWord(rng.randint(-2, 2), tail)
+            assert britton_reduce(w, params) == reference_reduce(w, params), w
+
+
+def test_exponent_budget():
+    # BS(1,2): t^-k a t^k = a^(2^k); past the budget a pinch raises.
+    params = BsParams(1, 2)
+    k = MAX_EXPONENT_BITS - 1
+    w = BsWord(0, ((-1, 0),) * (k - 1) + ((-1, 1),) + ((1, 0),) * k)
+    assert britton_reduce(w, params) == BsWord(2**k)
+    w = BsWord(0, ((-1, 0),) * k + ((-1, 1),) + ((1, 0),) * (k + 1))
+    with pytest.raises(DomainError, match=f"above the limit of {MAX_EXPONENT_BITS}"):
+        britton_reduce(w, params)
+    # Budget is on merged exponents only; a large unpinched exponent stays.
+    big = BsWord(2 ** (2 * MAX_EXPONENT_BITS))
+    assert britton_reduce(big, params) == big
+
+
+@pytest.mark.parametrize(
+    "m,n,bound", [(2, 3, 3), (-2, 3, 2), (2, -3, 3), (4, 6, 2), (3, -9, 2), (2, 2, 3)]
+)
+def test_z2_witness_matches_double_loop(m, n, bound):
+    params = BsParams(m, n)
+    u = BsWord(0, ((-1, 1), (1, 1)))
+    v = BsWord(n)
+    collapsed = [
+        (i, j)
+        for i in range(-bound, bound + 1)
+        for j in range(-bound, bound + 1)
+        if (i, j) != (0, 0) and reference_reduce(u**i * v**j, params) == BsWord()
+    ]
+    report = z2_witness(params, bound)
+    assert report.collapsed_pairs == tuple(collapsed)
+    assert report.pairs_checked == (2 * bound + 1) ** 2 - 1
+    assert report.commutator_is_trivial == (
+        reference_reduce(commutator_word(u, v), params) == BsWord()
+    )

@@ -58,6 +58,25 @@ def test_reduce_over_syllable_limit_exits_3(capsys):
         assert err.startswith("error:") and "limit of 1048576" in err
 
 
+def test_reduce_over_exponent_budget_exits_3(capsys):
+    # BS(1,2): t^-k a t^k = a^(2^k), past MAX_EXPONENT_BITS for k = 10^5.
+    code, out, err = run(
+        capsys, "reduce", "--group", "BS(1,2)", "--word", "t^-100000 a t^100000"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "above the limit of 14000" in err
+
+
+def test_reduce_exponent_parse_errors(capsys):
+    code, out, err = run(capsys, "reduce", "--group", "BS(2,3)", "--word", "a^²")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed exponent (at position 2)\n"
+    code, out, err = run(capsys, "reduce", "--group", "BS(2,3)", "--word", "a^" + "9" * 5000)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exponent has 5000 digits, above the limit of")
+
+
 def test_cert_large_k(capsys):
     code, out, err = run(capsys, "cert", "--group", "G(2,3)", "--target", "1/n^200")
     assert code == 0, err

@@ -13,12 +13,19 @@ only for an intended output change (and record that change in
 CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+``--check`` compares every case with the file using the standard library
+only (pytest is imported lazily, by the test hooks), so the bytes can be
+confirmed on an interpreter that has no pytest installed:
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -26,8 +33,6 @@ import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
-
-import pytest
 
 from baumslag import britton, cli, harness, metabelian
 from baumslag.fixtures import fixture_names, fixture_text, load_fixture
@@ -288,32 +293,47 @@ def generate() -> dict:
 CASES = cases()
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
+@functools.lru_cache(maxsize=None)
+def load_golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("golden_inputs")
-    write_inputs(directory)
-    return directory
+def pytest_generate_tests(metafunc):
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("name,argv,patches", CASES, ids=[c[0] for c in CASES])
 
 
-def test_golden_file_lists_every_case(golden):
-    assert sorted(golden) == sorted(name for name, _, _ in CASES)
+def test_golden_file_lists_every_case():
+    assert sorted(load_golden()) == sorted(name for name, _, _ in CASES)
 
 
-@pytest.mark.parametrize("name,argv,patches", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden(name, argv, patches, golden, inputs, monkeypatch):
+def test_cli_output_matches_golden(name, argv, patches, tmp_path_factory, monkeypatch):
+    inputs = tmp_path_factory.getbasetemp() / "golden_inputs"
+    if not inputs.exists():
+        inputs.mkdir()
+        write_inputs(inputs)
     monkeypatch.chdir(inputs)
-    assert run_case(argv, patches) == golden[name]
+    assert run_case(argv, patches) == load_golden()[name]
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--write"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        text = json.dumps(generate(), indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+        GOLDEN.write_text(text, encoding="utf-8")
+        print(f"wrote {len(CASES)} cases to {GOLDEN}")
+        return 0
+    if argv == ["--check"]:
+        expected, actual = load_golden(), generate()
+        differ = sorted(name for name in expected.keys() | actual.keys()
+                        if expected.get(name) != actual.get(name))
+        for name in differ:
+            print(f"differs: {name}")
+        print(f"{len(actual) - len(differ)}/{len(actual)} cases equal on Python "
+              f"{sys.version.split()[0]}")
+        return 1 if differ else 0
+    sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --check")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    text = json.dumps(generate(), indent=1, sort_keys=True, ensure_ascii=False) + "\n"
-    GOLDEN.write_text(text, encoding="utf-8")
-    print(f"wrote {len(CASES)} cases to {GOLDEN}")
+    sys.exit(main(sys.argv[1:]))

@@ -270,6 +270,16 @@ def test_dumps_is_deterministic():
     assert json.loads(dumps(gog))["edges"][0]["id"] == "e"
 
 
+@pytest.mark.parametrize("names", [[""], ["x'"], ["a", "a"]])
+def test_loads_checks_generator_names_before_relators(names):
+    # Relators are tokenised as identifiers, so names are checked first;
+    # an empty name used to make the relator scan loop forever.
+    doc = {"vertices": {"v": {"generators": names, "relators": ["a", "x'"]}}, "edges": []}
+    with pytest.raises(GogFileError) as info:
+        loads(json.dumps(doc))
+    assert info.value.path == "vertices.v.generators"
+
+
 def test_loads_schema_errors_carry_paths():
     with pytest.raises(GogFileError) as info:
         loads("{not json")

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from baumslag.words import (
     UnbalancedParenthesisError,
     UnknownGeneratorError,
     Word,
+    WordParseError,
     exponent_sums,
     format_word,
     parse_word,
@@ -236,3 +239,135 @@ def test_presentation_validation():
 def test_presentation_with_no_generators():
     pres = Presentation((), ())
     assert pres.format() == "<  |  >"
+
+
+def test_parse_exponent_digits_are_decimal():
+    # str.isdigit accepts "²", which int() rejects; only decimals count.
+    with pytest.raises(MalformedExponentError) as info:
+        parse_word("a^²", AT)
+    assert info.value.position == 2
+    assert parse_word("a^\u0663", AT) == Word([(0, 3)])  # Arabic-Indic three
+
+
+def test_parse_exponent_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_word(f"t a^-{'7' * limit}", AT).letters[1] == (0, -int("7" * limit))
+    with pytest.raises(DomainError, match=f"{limit + 1} digits, above the limit of {limit}"):
+        parse_word(f"t a^-{'7' * (limit + 1)}", AT)
+
+
+def test_parse_unicode_whitespace():
+    assert parse_word("a\xa0t\u2003^\u3000-2\n", AT) == Word([(0, 1), (1, -2)])
+
+
+IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def reference_parse(text, alphabet):
+    """The recursive-descent parser that parse_word replaced, kept as its
+    differential oracle: at every position, the first of the names sorted
+    longest first that the text starts with."""
+    atoms = {name: Word(((i, 1),)) for i, name in enumerate(alphabet)}
+    names = sorted(atoms, key=lambda s: (-len(s), s))
+
+    def skip_ws(i):
+        while i < len(text) and text[i].isspace():
+            i += 1
+        return i
+
+    def parse_int(i):
+        start = i
+        if i < len(text) and text[i] == "-":
+            i += 1
+        digits = i
+        while i < len(text) and text[i].isdigit():
+            i += 1
+        if i == digits:
+            raise MalformedExponentError("malformed exponent", start)
+        return int(text[start:i]), i
+
+    def parse_sequence(i, open_at):
+        letters = []
+        while True:
+            i = skip_ws(i)
+            if i >= len(text):
+                if open_at is not None:
+                    raise UnbalancedParenthesisError("unclosed parenthesis", open_at)
+                return letters, i
+            c = text[i]
+            if c == ")":
+                if open_at is None:
+                    raise UnbalancedParenthesisError("unmatched closing parenthesis", i)
+                return letters, i
+            if c == "(":
+                inner, j = parse_sequence(i + 1, i)
+                atom = Word(inner)
+                i = j + 1
+            else:
+                hit = next((n for n in names if text.startswith(n, i)), None)
+                if hit is None:
+                    m = IDENT.match(text, i)
+                    if m:
+                        raise UnknownGeneratorError(f"unknown generator {m.group()!r}", i)
+                    raise WordParseError(f"unexpected character {c!r}", i)
+                atom = atoms[hit]
+                i += len(hit)
+            i = skip_ws(i)
+            if i < len(text) and text[i] == "^":
+                exp, i = parse_int(skip_ws(i + 1))
+            else:
+                exp = 1
+            letters.extend((atom**exp).letters)
+
+    letters, _ = parse_sequence(0, None)
+    return Word(letters)
+
+
+def parse_outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except WordParseError as err:
+        return type(err), err.position, str(err)
+
+
+FUZZ_PIECES = {
+    ("a", "t"): ["a", "t", "tat", "at", "ta", "a1", "t_", "b", "zq", "A"],
+    ("e", "e_bar", "x1"): ["e", "e_bar", "x1", "e_ba", "ee_bar", "x", "x12", "e_barx1", "y"],
+}
+COMMON_PIECES = [
+    " ", "  ", "\t", "\n", "\xa0", "(", "(", ")", ")", "^", "^2", "^-3", " ^ 4",
+    "^ -1", "^-", "^ x", "-", "7", "_", "+", "^^2", "()",
+]
+
+
+@pytest.mark.parametrize("alphabet", list(FUZZ_PIECES), ids=["a_t", "e_ebar_x1"])
+def test_parse_matches_reference(alphabet):
+    rng = random.Random(f"parse:{','.join(alphabet)}")
+    pieces = FUZZ_PIECES[alphabet] + COMMON_PIECES
+    failures = 0
+    for _ in range(4000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 14)))
+        expected = parse_outcome(reference_parse, text, alphabet)
+        assert parse_outcome(parse_word, text, alphabet) == expected, text
+        failures += not isinstance(expected, Word)
+    # The fuzz reaches both valid and malformed texts.
+    assert 400 < failures < 3600
+
+
+@pytest.mark.parametrize("alphabet", list(FUZZ_PIECES), ids=["a_t", "e_ebar_x1"])
+def test_parse_matches_reference_on_valid_nested_texts(alphabet):
+    rng = random.Random(f"nested:{','.join(alphabet)}")
+
+    def term(depth):
+        if depth and rng.random() < 0.3:
+            body = " ".join(term(depth - 1) for _ in range(rng.randint(0, 3)))
+            atom = f"({body})"
+        else:
+            atom = rng.choice(alphabet)
+        if rng.random() < 0.5:
+            atom += f"{rng.choice(['', ' '])}^{rng.choice(['', ' '])}{rng.randint(-4, 4)}"
+        return atom
+
+    for _ in range(800):
+        text = rng.choice(["", " "]).join(term(3) for _ in range(rng.randint(0, 6)))
+        assert parse_word(text, alphabet) == reference_parse(text, alphabet), text

@@ -12,6 +12,11 @@ checkouts, the runs of one seed (or one ct repeat) form a pair, and the
 side that runs first alternates from pair to pair, so drift on a shared
 machine falls on both sides alike.
 
+Last, it runs the report-only scaling sweeps of SWEEPS in every
+checkout, one subprocess per point, and fits a log-log slope to each;
+a sweep stops after its first point over SWEEP_CAP_S seconds, so that
+a quadratic baseline cannot stall the recorder.
+
 One file per label is written at the root of this repository.  It holds
 nproc, the Python version, the checkout's git SHA, whether its tracked
 files differ from that commit, the package digest, and per metric the
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -37,6 +43,29 @@ SEEDS = list(range(1, 11))
 CT_REPEATS = 10
 CT_ARGV = ["-m", "baumslag.cli", "verify", "--suite", "ct"]
 PROVENANCE = "provenance: "
+SWEEP_CAP_S = 5.0
+# name -> (sizes, setup building the input of size SIZE, timed statement).
+SWEEPS = {
+    # t^-k a t^k with 2k = SIZE t-letters: a cascade of k pinches.
+    "britton_cascade_bs11_t_length": (
+        [80_000, 160_000, 320_000, 640_000],
+        "from baumslag.britton import BsParams, BsWord, britton_reduce\n"
+        "k = SIZE // 2\n"
+        "w = BsWord(0, ((-1, 0),) * (k - 1) + ((-1, 1),) + ((1, 0),) * k)\n"
+        "params = BsParams(1, 1)",
+        "britton_reduce(w, params)",
+    ),
+    # SIZE syllables alternating over {a, t}, exponents in +-1..3.
+    "parse_word_at_syllables": (
+        [3_000, 6_000, 12_000, 24_000, 48_000],
+        "import random\n"
+        "from baumslag.words import parse_word\n"
+        "rng = random.Random(SIZE)\n"
+        "text = ' '.join(f'{g}^{rng.choice((-3, -2, -1, 1, 2, 3))}'\n"
+        "                for g in ('a', 't') * (SIZE // 2))",
+        "parse_word(text, ('a', 't'))",
+    ),
+}
 
 
 def summary(values: list[float]) -> dict:
@@ -88,6 +117,50 @@ def ct_run(checkout: str, jobs: int) -> tuple[float, str]:
         cwd=checkout, env=env, capture_output=True, check=True,
     )
     return time.perf_counter() - start, hashlib.sha256(done.stdout).hexdigest()
+
+
+def sweep_point(checkout: str, setup: str, stmt: str, size: int) -> float:
+    """Seconds of one run of stmt on an input of the given size, in a fresh
+    interpreter on the checkout's sources; the best of three under 1 s."""
+    code = (
+        f"SIZE = {size}\n{setup}\nimport time\nbest = None\n"
+        f"for _ in range(3):\n"
+        f"    start = time.perf_counter()\n    {stmt}\n"
+        f"    took = time.perf_counter() - start\n"
+        f"    best = took if best is None else min(best, took)\n"
+        f"    if took > 1.0:\n        break\n"
+        f"print(best)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=checkout, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return float(done.stdout)
+
+
+def loglog_slope(sizes: list[int], seconds: list[float]) -> float | None:
+    """Least-squares slope of log(seconds) against log(size)."""
+    if len(sizes) < 2:
+        return None
+    xs = [math.log(x) for x in sizes]
+    ys = [math.log(y) for y in seconds]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def run_sweeps(checkout: str) -> dict:
+    out = {}
+    for name, (sizes, setup, stmt) in SWEEPS.items():
+        done, seconds = [], []
+        for size in sizes:
+            done.append(size)
+            seconds.append(sweep_point(checkout, setup, stmt, size))
+            print(f"{checkout} {name} {size}: {seconds[-1]:.3f} s", file=sys.stderr)
+            if seconds[-1] > SWEEP_CAP_S:
+                break
+        out[name] = {"sizes": done, "seconds": seconds, "loglog_slope": loglog_slope(done, seconds)}
+    return out
 
 
 def main(argv=None) -> int:
@@ -148,6 +221,8 @@ def main(argv=None) -> int:
                 times[label][jobs].append(seconds_taken)
                 digests[label].add(digest)
                 print(f"{label} ct --jobs {jobs}: {seconds_taken:.2f} s", file=sys.stderr)
+    for label in labels:
+        records[label]["sweeps"] = run_sweeps(dirs[label])
     for label in labels:
         records[label]["ct_default"] = {
             "command": "baumslag verify --suite ct --jobs J",
