@@ -15,8 +15,9 @@ CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py --write
 
 ``--check`` compares every case with the file using the standard library
-only (pytest is imported lazily, by the test hooks), so the bytes can be
-confirmed on an interpreter that has no pytest installed:
+only: the module never imports pytest (it parametrizes through the
+``pytest_generate_tests`` hook), so the bytes can be confirmed on an
+interpreter that has no pytest installed:
 
     PYTHONPATH=src python tests/test_golden.py --check
 """
