@@ -22,10 +22,10 @@ so can only create a pinch with the next syllable, never with the one
 before.  So testing each incoming syllable once against the top, and
 after a pinch testing the next one against the new top, makes exactly
 the rewrites of the leftmost-first rescan, in the same order, in time
-linear in the t-length (plus the integer arithmetic).  A merged exponent
-past MAX_EXPONENT_BITS bits raises DomainError: BS(1,2) doubles it per
-pinch, so t^-k a t^k would otherwise cost Theta(k^2) bit operations and
-give an integer too long to print.
+linear in the t-length (plus the integer arithmetic).  An exponent that
+a pinch leaves past MAX_EXPONENT_BITS bits (``words``) raises
+DomainError: BS(1,2) doubles it per pinch, so t^-k a t^k would otherwise
+cost Theta(k^2) bit operations and give an integer too long to print.
 
 For the soluble case BS(1, k) the assignment a -> (1, 0), t -> (0, 1) is
 an isomorphism onto G(1, k), giving an independent word-problem oracle
@@ -37,13 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .words import MAX_SYLLABLES, Word, format_word, parse_pair, parse_word
+from .words import (  # MAX_EXPONENT_BITS: re-exported, the budget of pinches
+    MAX_EXPONENT_BITS,
+    MAX_SYLLABLES,
+    Word,
+    checked_exponent,
+    format_word,
+    parse_pair,
+    parse_word,
+)
 
 GENERATORS = ("a", "t")
-
-# Largest bit length a pinch may give a merged exponent: below the ~14 284
-# bits of CPython's default 4 300-digit limit on printing an int.
-MAX_EXPONENT_BITS = 14_000
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,8 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
     t^-1 a^s t -> a^(s*n/m) when m | s, and t a^s t^-1 -> a^(s*m/n) when
     n | s.  The stack holds the pinch-free prefix of the rewritten word;
     each incoming syllable is tested once against its top.  Raises
-    DomainError when a merged exponent passes MAX_EXPONENT_BITS bits.
+    DomainError when a pinch leaves an exponent past MAX_EXPONENT_BITS
+    bits.
     """
     m, n = params.m, params.n
     lead = w.lead
@@ -169,15 +174,10 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
             signs.pop()
             top = exps.pop()
             merged = (top // m * n if sign == 1 else top // n * m) + exp
-            if merged.bit_length() > MAX_EXPONENT_BITS:
-                raise DomainError(
-                    f"pinch exponent has {merged.bit_length()} bits, above the "
-                    f"limit of {MAX_EXPONENT_BITS}"
-                )
             if exps:
-                exps[-1] += merged
+                exps[-1] = checked_exponent(exps[-1] + merged)
             else:
-                lead += merged
+                lead = checked_exponent(lead + merged)
         else:
             signs.append(sign)
             exps.append(exp)

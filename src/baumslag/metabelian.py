@@ -40,7 +40,7 @@ from math import gcd
 
 from .errors import DomainError
 from .rationals import mn_member
-from .words import Word, parse_pair
+from .words import MAX_EXPONENT_BITS, Word, parse_pair
 
 INSIDE_H = "inside_h"
 COMMENSURABLE_CYCLIC = "commensurable_cyclic"
@@ -257,6 +257,10 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
     component is the integer sum of e * m^(P- + p) * n^(P+ - p) over
     m^(P-) * n^(P+).  For G(1, k) this is the isomorphism from BS(1, k),
     the independent word-problem oracle.
+
+    Raises DomainError, before any power is built, when that denominator
+    may pass MAX_EXPONENT_BITS bits: (m - 1).bit_length() is the least b
+    with m <= 2^b.
     """
     sums: dict[int, int] = {}
     p = 0
@@ -270,6 +274,12 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
     m, n = params.m, params.n
     top = max(0, max(sums, default=0))
     bottom = max(0, -min(sums, default=0))
+    bits = bottom * (m - 1).bit_length() + top * (n - 1).bit_length()
+    if bits > MAX_EXPONENT_BITS:
+        raise DomainError(
+            f"word value needs a denominator of up to {bits} bits, above the "
+            f"limit of {MAX_EXPONENT_BITS}"
+        )
     num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
     return _element(params, num, m ** bottom * n ** top, p)
 

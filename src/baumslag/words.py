@@ -23,8 +23,10 @@ Powers are computed in closed form (see Word.__pow__), so ``a^N`` and
 ``(t a t^-1)^N`` cost O(digits of N).  A power whose cyclically reduced
 core has two or more syllables has a result whose length grows with the
 exponent; when that length would exceed MAX_SYLLABLES (2^20) syllables,
-the power raises DomainError before building anything.  The CLI reports
-DomainError with exit code 3.
+the power raises DomainError before building anything.  An exponent that
+free reduction or a power computes (by merging syllables or multiplying
+by k) raises DomainError past MAX_EXPONENT_BITS bits, so every reduced
+word prints.  The CLI reports DomainError with exit code 3.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ SPACE_RE = re.compile(r"\s*")
 # Largest number of syllables a power (or a BS(m,n) t-expansion) may build.
 MAX_SYLLABLES = 2**20
 
+# Largest bit length a computed integer may reach (an exponent merged by
+# free reduction or by a Britton pinch, the denominator of a G(m,n) word
+# value): below the ~14 284 bits of CPython's default 4 300-digit limit on
+# printing an int.
+MAX_EXPONENT_BITS = 14_000
+
 
 class WordParseError(ValueError):
     """Base for word-syntax errors; carries the 0-based input position."""
@@ -70,6 +78,15 @@ class UnbalancedParenthesisError(WordParseError):
     pass
 
 
+def checked_exponent(exp: int) -> int:
+    """exp, or DomainError when it has more than MAX_EXPONENT_BITS bits."""
+    if exp.bit_length() > MAX_EXPONENT_BITS:
+        raise DomainError(
+            f"exponent has {exp.bit_length()} bits, above the limit of {MAX_EXPONENT_BITS}"
+        )
+    return exp
+
+
 def _reduce(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     # Stack-based merge; cascaded cancellations resolve in one pass.
     stack: list[tuple[int, int]] = []
@@ -77,7 +94,7 @@ def _reduce(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
-            merged = stack[-1][1] + exp
+            merged = checked_exponent(stack[-1][1] + exp)
             stack.pop()
             if merged != 0:
                 stack.append((gen, merged))
@@ -141,12 +158,13 @@ class Word:
         if k < 0 and len(z) > 1:
             z, k = tuple((g, -e) for g, e in reversed(z)), -k
         if len(z) == 1:
-            core = ((z[0][0], z[0][1] * k),)
+            core = ((z[0][0], checked_exponent(z[0][1] * k)),)
         else:
             g, e = z[0]
             if g == z[-1][0]:
                 # z = g^e y g^f: z^k = g^e (y g^(e+f))^(k-1) y g^f.
-                head, period, tail = z[:1], z[1:-1] + ((g, e + z[-1][1]),), z[1:]
+                merged = checked_exponent(e + z[-1][1])
+                head, period, tail = z[:1], z[1:-1] + ((g, merged),), z[1:]
             else:
                 head, period, tail = (), z, z
             size = 2 * len(c) + len(head) + len(period) * (k - 1) + len(tail)

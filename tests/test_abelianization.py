@@ -48,6 +48,8 @@ def test_snf_fixed_examples():
     assert smith_normal_form([[2, 4], [4, 8]]) == [2]
     assert smith_normal_form([[6]]) == [6]
     assert smith_normal_form([]) == []
+    # Rows equal up to sign, as a raw pi_1 matrix has once per half-edge.
+    assert smith_normal_form([[2, 4, 6], [-2, -4, -6], [0, 3, 0], [2, 4, 6]]) == [1, 6]
 
 
 def test_snf_divisibility_chain():
@@ -92,7 +94,7 @@ def test_abelianization_str():
 
 
 def test_snf_unit_heavy_against_minor_gcd_oracle():
-    # Mostly 0 and +-1 entries, so the unit-pivot phase does most of the work.
+    # Mostly 0 and +-1 entries, so most pivots are units.
     fixed = [
         [],  # 0 x n
         [[], [], []],  # n x 0
@@ -111,6 +113,51 @@ def test_snf_unit_heavy_against_minor_gcd_oracle():
     ]
     for matrix in matrices:
         assert smith_normal_form(matrix) == minor_gcd_oracle(matrix), matrix
+
+
+def _elementary_product(rng, n, steps):
+    """A seeded product of n x n elementary integer operations (add a
+    multiple of one row to another, swap two rows, negate a row), so
+    its determinant is +-1."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.random()
+        if kind < 0.8:
+            f = rng.choice((-3, -2, -1, 1, 2, 3))
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+        elif kind < 0.9:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_snf_of_scrambled_diagonals():
+    """A = U D V with U, V unimodular has the Smith normal form D.  D is a
+    chosen divisibility chain with non-unit entries, at sizes the minor
+    oracle cannot reach; some matrices also get rows repeated up to sign."""
+    rng = random.Random(4099)
+    sizes = [(6, 6), (8, 5), (5, 9), (12, 12), (16, 10), (10, 16), (20, 20), (25, 30)]
+    for nrows, ncols in sizes * 3:
+        rank = rng.randint(1, min(nrows, ncols))
+        chain, d = [], 1
+        for _ in range(rank):
+            d *= rng.choice((1, 1, 2, 3, 5, 6, 7))
+            chain.append(d)
+        diagonal = [[chain[i] if i == j and i < rank else 0 for j in range(ncols)]
+                    for i in range(nrows)]
+        u = _elementary_product(rng, nrows, 4 * nrows)
+        v = _elementary_product(rng, ncols, 4 * ncols)
+        a = _matmul(_matmul(u, diagonal), v)
+        if rng.random() < 0.5:
+            a += [[-x for x in rng.choice(a)] for _ in range(3)]
+            rng.shuffle(a)
+        assert smith_normal_form(a) == chain, (nrows, ncols, chain)
 
 
 def _glued_z_graph(rng, gluings, nvertices):

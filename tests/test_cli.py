@@ -68,6 +68,18 @@ def test_reduce_over_exponent_budget_exits_3(capsys):
     assert err.startswith("error:") and "above the limit of 14000" in err
 
 
+def test_reduce_merged_exponent_over_budget_exits_3(capsys):
+    # Printable exponents that free reduction, a power or a pinch would
+    # merge into one past the 4 300-digit printing limit.
+    nines = "9" * 4300
+    cases = [("BS(2,3)", f"a^{nines} a^{nines}"), ("BS(2,3)", f"(a^{nines})^{nines}"),
+             ("BS(2,3)", f"(a^{nines} t a^{nines})^2"), ("BS(1,2)", f"a^{nines} t^-1 a^3 t")]
+    for group, word in cases:
+        code, out, err = run(capsys, "reduce", "--group", group, "--word", word)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "above the limit of 14000" in err
+
+
 def test_reduce_exponent_parse_errors(capsys):
     code, out, err = run(capsys, "reduce", "--group", "BS(2,3)", "--word", "a^²")
     assert (code, out) == (2, "")
@@ -107,6 +119,16 @@ def test_eval_examples(capsys):
     assert code == 0 and "element: (0, 0)" in out
     code, out, _ = run(capsys, "eval", "--group", "G(2,3)", "--word", "t^-1 a^2 t")
     assert code == 0 and "element: (3, 0)" in out
+
+
+def test_eval_over_denominator_budget_exits_3(capsys):
+    # (3/2)^100000 has a 100 000-bit denominator; G(1,1) builds no power.
+    word = "t^-100000 a t^100000"
+    code, out, err = run(capsys, "eval", "--group", "G(2,3)", "--word", word)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "above the limit of 14000" in err
+    code, out, _ = run(capsys, "eval", "--group", "G(1,1)", "--word", word)
+    assert code == 0 and "element: (1, 0)" in out
 
 
 def test_eval_requires_g_family(capsys):

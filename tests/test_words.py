@@ -6,6 +6,7 @@ import pytest
 
 from baumslag.errors import DomainError
 from baumslag.words import (
+    MAX_EXPONENT_BITS,
     MAX_SYLLABLES,
     MalformedExponentError,
     Presentation,
@@ -28,6 +29,23 @@ def test_free_reduce_examples():
     assert Word([(0, 2), (0, 3), (1, 1)]).letters == ((0, 5), (1, 1))
     # Two merge passes: a b b^-1 a^-1.
     assert Word([(0, 1), (1, 1), (1, -1), (0, -1)]) == Word()
+
+
+def test_exponent_budget():
+    half = 2 ** (MAX_EXPONENT_BITS - 1)  # 2 * half is one bit over
+    assert Word([(0, half), (0, half - 1)]).letters == ((0, 2 * half - 1),)
+    assert (Word([(0, half // 2)]) ** 2).letters == ((0, half),)
+    # z = a^h t a^(h-1): z^2 merges the two a-syllables at the seam.
+    assert (Word([(0, half), (1, 1), (0, half - 1)]) ** 2).letters[2] == (0, 2 * half - 1)
+    too_many = f"above the limit of {MAX_EXPONENT_BITS}"
+    with pytest.raises(DomainError, match=too_many):
+        Word([(0, half), (0, half)])
+    with pytest.raises(DomainError, match=too_many):
+        Word([(0, half)]) ** -2
+    with pytest.raises(DomainError, match=too_many):
+        Word([(0, half), (1, 1), (0, half)]) ** 2
+    # A single syllable is not merged, so it may be longer.
+    assert Word([(0, 4 * half)]).letters == ((0, 4 * half),)
 
 
 def test_free_reduce_idempotent_random():
