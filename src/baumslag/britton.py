@@ -1,12 +1,14 @@
 """Words over the Baumslag-Solitar group BS(m, n) = < a, t | t^-1 a^m t = a^n >
 and their pinch reduction.
 
-A word is stored in syllable form a^lead (t^s1 a^e1) (t^s2 a^e2) ... with
-s_i = +/-1.  A *pinch* is a subword t^-1 a^s t with m | s, or t a^s t^-1
-with n | s; rewriting it to a^(s*n/m) (resp. a^(s*m/n)) removes two
-t-letters.  A word with no pinch is in reduced form, and a reduced word
-represents the identity only when it is the empty word: that yields the
-word-problem procedures is_trivial and equal.
+A BsWord is a Word over the generators a (index 0) and t (index 1).  It
+is freely reduced, so its syllables alternate, and it reads as
+a^lead (t^K1 a^e1) (t^K2 a^e2) ... with every K_i nonzero.  A *pinch* is
+a subword t^-1 a^s t with m | s, or t a^s t^-1 with n | s; rewriting it
+to a^(s*n/m) (resp. a^(s*m/n)) removes two t-letters.  A word with no
+pinch is in reduced form, and a reduced word represents the identity
+only when it is the empty word: that yields the word-problem procedures
+is_trivial and equal.
 
 Reduced forms are not canonical, so equality of u and v always goes
 through reducing u * v^-1 rather than comparing reduced words.  Pinches
@@ -15,17 +17,21 @@ removes two t-letters) and the triviality answer does not depend on it.
 
 britton_reduce is the stack form of leftmost-first rewriting (Lyndon &
 Schupp, Combinatorial Group Theory, IV.2), one pass over the syllables.
-The stack holds the pinch-free prefix read so far.  Whether t^s1 a^e1
-t^s2 is a pinch depends on s1, s2 and e1 only; a rewrite adds the merged
-exponent to the syllable before it, which changes that syllable's e and
-so can only create a pinch with the next syllable, never with the one
-before.  So testing each incoming syllable once against the top, and
-after a pinch testing the next one against the new top, makes exactly
-the rewrites of the leftmost-first rescan, in the same order, in time
-linear in the t-length (plus the integer arithmetic).  An exponent that
-a pinch leaves past MAX_EXPONENT_BITS bits (``words``) raises
-DomainError: BS(1,2) doubles it per pinch, so t^-k a t^k would otherwise
-cost Theta(k^2) bit operations and give an integer too long to print.
+The stack holds the pinch-free prefix read so far as t^K a^e syllables.
+Read letter by letter, a syllable t^K a^e is |K| t-letters of one sign
+with a^0 between them and a^e after the last.  Whether t^s1 a^e1 t^s2
+(s_i = +/-1) is a pinch depends on s1, s2 and e1 only; a rewrite adds
+the merged exponent to the a-exponent before it, which can only create a
+pinch with the next t-letter, never with the one before.  So an incoming
+t^k pinches its t-letters one at a time against the last t-letter on the
+stack, and the rest of t^k, whose letters share a sign and so never
+pinch each other, is pushed as one syllable.  That makes exactly the
+rewrites of the leftmost-first rescan of the letters, in the same order,
+in time linear in the t-length (plus the integer arithmetic).  An
+exponent that a pinch leaves past MAX_EXPONENT_BITS bits (``words``)
+raises DomainError: BS(1,2) doubles it per pinch, so t^-k a t^k would
+otherwise cost Theta(k^2) bit operations and give an integer too long to
+print.
 
 For the soluble case BS(1, k) the assignment a -> (1, 0), t -> (0, 1) is
 an isomorphism onto G(1, k), giving an independent word-problem oracle
@@ -71,85 +77,61 @@ def parse_bs_params(text: str) -> BsParams:
     return BsParams(*parse_pair(text, "BS"))
 
 
-@dataclass(frozen=True)
-class BsWord:
-    """Syllable form a^lead t^s1 a^e1 ... t^sk a^ek of a word over {a, t}."""
+class BsWord(Word):
+    """A Word over (a, t) in syllable form a^lead t^K1 a^e1 ... t^Kr a^er.
 
-    lead: int = 0
-    tail: tuple[tuple[int, int], ...] = ()
+    ``BsWord(lead, tail)`` freely reduces the word with those exponents,
+    tail = ((K1, e1), ..., (Kr, er)); *, ~ and ** are those of Word and
+    return BsWords.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, lead: int = 0, tail: tuple[tuple[int, int], ...] = ()):
+        letters = [(0, lead)]
+        for t_exp, a_exp in tail:
+            letters += ((1, t_exp), (0, a_exp))
+        super().__init__(letters)
 
     @classmethod
     def from_word(cls, w: Word) -> "BsWord":
-        """Expand w's t-powers into one syllable per t-letter; raises
-        DomainError, before expanding, past MAX_SYLLABLES t-letters."""
-        t_letters = sum(abs(exp) for gen, exp in w.letters if gen == 1)
-        if t_letters > MAX_SYLLABLES:
+        """w itself, not copied; raises ValueError for a generator other
+        than a and t, and DomainError past MAX_SYLLABLES t-letters."""
+        word = cls._make(w.letters)
+        if any(gen not in (0, 1) for gen, _ in w.letters):
+            raise ValueError("BS words use the two-letter alphabet (a, t)")
+        if word.t_length > MAX_SYLLABLES:
             raise DomainError(
-                f"word has {t_letters} t-letters, above the limit of {MAX_SYLLABLES}"
+                f"word has {word.t_length} t-letters, above the limit of {MAX_SYLLABLES}"
             )
-        lead = 0
-        tail: list[list[int]] = []
-        for gen, exp in w.letters:
-            if gen == 0:  # a-letter
-                if tail:
-                    tail[-1][1] += exp
-                else:
-                    lead += exp
-            elif gen == 1:  # t-letter
-                sign = 1 if exp > 0 else -1
-                for _ in range(abs(exp)):
-                    tail.append([sign, 0])
-            else:
-                raise ValueError("BS words use the two-letter alphabet (a, t)")
-        return cls(lead, tuple((s, e) for s, e in tail))
+        return word
 
     @classmethod
     def from_text(cls, text: str) -> "BsWord":
         return cls.from_word(parse_word(text, GENERATORS))
 
-    def to_word(self) -> Word:
-        letters = [(0, self.lead)]
-        for sign, exp in self.tail:
-            letters.append((1, sign))
-            letters.append((0, exp))
-        return Word(letters)
-
     def format(self) -> str:
-        return format_word(self.to_word(), GENERATORS)
+        return format_word(self, GENERATORS)
+
+    # Its own entry, so that bench/spans.py can wrap BsWord powers by name.
+    __pow__ = Word.__pow__
+
+    @property
+    def lead(self) -> int:
+        """Exponent of the leading a-syllable, 0 when there is none."""
+        s = self.letters
+        return s[0][1] if s and s[0][0] == 0 else 0
+
+    @property
+    def tail(self) -> tuple[tuple[int, int], ...]:
+        """(t-exponent, following a-exponent) per t-syllable."""
+        s = self.letters[1:] if self.lead else self.letters
+        return tuple((k, e) for (_, k), (_, e) in zip(s[0::2], s[1::2] + ((0, 0),)))
 
     @property
     def t_length(self) -> int:
-        return len(self.tail)
-
-    def __mul__(self, other: "BsWord") -> "BsWord":
-        if not self.tail:
-            return BsWord(self.lead + other.lead, other.tail)
-        last_sign, last_exp = self.tail[-1]
-        tail = self.tail[:-1] + ((last_sign, last_exp + other.lead),) + other.tail
-        return BsWord(self.lead, tail)
-
-    def __invert__(self) -> "BsWord":
-        exps = (self.lead,) + tuple(e for _, e in self.tail)
-        signs = tuple(s for s, _ in self.tail)
-        lead = -exps[-1]
-        tail = tuple(
-            (-signs[k], -exps[k]) for k in range(len(signs) - 1, -1, -1)
-        )
-        return BsWord(lead, tail)
-
-    def __pow__(self, k: int) -> "BsWord":
-        """The k-fold product, syllable for syllable: w = a^L T gives
-        w^k = a^L T'^(k-1) T, where T' is T with L added to its last
-        exponent."""
-        if k < 0:
-            return (~self) ** -k
-        if k == 0:
-            return BsWord()
-        if not self.tail:
-            return BsWord(self.lead * k)
-        sign, exp = self.tail[-1]
-        shifted = self.tail[:-1] + ((sign, exp + self.lead),)
-        return BsWord(self.lead, shifted * (k - 1) + self.tail)
+        """Number of t-letters."""
+        return sum(abs(exp) for gen, exp in self.letters if gen == 1)
 
 
 def commutator_word(u: BsWord, v: BsWord) -> BsWord:
@@ -161,27 +143,50 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
 
     t^-1 a^s t -> a^(s*n/m) when m | s, and t a^s t^-1 -> a^(s*m/n) when
     n | s.  The stack holds the pinch-free prefix of the rewritten word;
-    each incoming syllable is tested once against its top.  Raises
-    DomainError when a pinch leaves an exponent past MAX_EXPONENT_BITS
-    bits.
+    each incoming t-letter is tested once against its last t-letter.
+    Raises DomainError when a pinch leaves an exponent past
+    MAX_EXPONENT_BITS bits.
     """
     m, n = params.m, params.n
     lead = w.lead
-    signs: list[int] = []
-    exps: list[int] = []
-    for sign, exp in w.tail:
-        if signs and signs[-1] == -sign and exps[-1] % (m if sign == 1 else n) == 0:
-            signs.pop()
-            top = exps.pop()
-            merged = (top // m * n if sign == 1 else top // n * m) + exp
-            if exps:
-                exps[-1] = checked_exponent(exps[-1] + merged)
+    s = w.letters[1:] if lead else w.letters
+    # The stack's syllables t^K a^e as two lists of letters (1, K) and
+    # (0, e); a syllable pushed as read keeps the input's tuples.
+    ts: list[tuple[int, int]] = []
+    es: list[tuple[int, int]] = []
+    for tk, ae in zip(s[0::2], s[1::2] + ((0, 0),)):
+        k = tk[1]
+        while k and ts and ts[-1][1] * k < 0 and es[-1][1] % (m if k > 0 else n) == 0:
+            step = 1 if k > 0 else -1
+            merged = es[-1][1] // m * n if k > 0 else es[-1][1] // n * m
+            k -= step
+            if not k:
+                merged += ae[1]
+            if ts[-1][1] + step:  # the a^0 before the pinched t-letter takes merged
+                ts[-1] = (1, ts[-1][1] + step)
+                es[-1] = (0, checked_exponent(merged))
             else:
-                lead = checked_exponent(lead + merged)
-        else:
-            signs.append(sign)
-            exps.append(exp)
-    return BsWord(lead, tuple(zip(signs, exps)))
+                ts.pop()
+                es.pop()
+                if es:
+                    es[-1] = (0, checked_exponent(es[-1][1] + merged))
+                else:
+                    lead = checked_exponent(lead + merged)
+        if k and ts and not es[-1][1]:  # t^K a^0 t^k, one sign: one syllable
+            ts[-1] = (1, ts[-1][1] + k)
+            es[-1] = ae
+        elif k:
+            ts.append(tk if k == tk[1] else (1, k))
+            es.append(ae)
+    # Interleaved; only the lead and the last a-exponent can be 0.
+    letters = [(0, lead)] * (2 * len(ts) + 1)
+    letters[1::2] = ts
+    letters[2::2] = es
+    if es and not es[-1][1]:
+        letters.pop()
+    if not lead:
+        del letters[0]
+    return BsWord._make(tuple(letters))
 
 
 def is_trivial(w: BsWord, params: BsParams) -> bool:
@@ -191,8 +196,7 @@ def is_trivial(w: BsWord, params: BsParams) -> bool:
     t-letter in a pinch-free word survives in the group), so triviality
     is just emptiness of the reduced form.
     """
-    r = britton_reduce(w, params)
-    return not r.tail and r.lead == 0
+    return not britton_reduce(w, params)
 
 
 def equal(u: BsWord, v: BsWord, params: BsParams) -> bool:
@@ -228,12 +232,13 @@ def z2_witness(params: BsParams, bound: int) -> Z2WitnessReport:
     nonzero power u^i v^j collapses.  Requires |m|, |n| > 1.
 
     Each u^i is reduced once and every pair is then decided in O(1).
-    u^i v^j is u^i with n*j added to its last exponent.  The stack of
-    britton_reduce never revisits a prefix, and an incoming syllable is
-    tested by its sign and the top's exponent, not by its own exponent;
-    so the reduction of u^i v^j makes the same rewrites as that of u^i
-    and ends with n*j added to the last exponent.  Hence u^i v^j is
-    trivial iff britton_reduce(u^i) has an empty tail and lead + n*j == 0.
+    Letter by letter, u^i v^j is u^i with n*j added to its last
+    a-exponent.  The stack of britton_reduce never revisits a prefix, and
+    an incoming t-letter is tested by its sign and the a-exponent before
+    it, not the one after it; so the reduction of u^i v^j makes the same
+    rewrites as that of u^i and ends with n*j added to the last exponent.
+    Hence u^i v^j is trivial iff britton_reduce(u^i) has no t-letter and
+    lead + n*j == 0.
     """
     if abs(params.m) <= 1 or abs(params.n) <= 1:
         raise DomainError(
@@ -247,7 +252,7 @@ def z2_witness(params: BsParams, bound: int) -> Z2WitnessReport:
     collapsed = []
     for i in range(-bound, bound + 1):
         r = britton_reduce(u ** i, params)
-        if not r.tail:
+        if len(r) <= 1 and r.t_length == 0:  # one a-syllable at most
             collapsed.extend(
                 (i, j)
                 for j in range(-bound, bound + 1)

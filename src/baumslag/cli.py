@@ -80,7 +80,7 @@ def cmd_reduce(args) -> int:
     params = _require_bs(_parse_group(args.group))
     word = britton.BsWord.from_text(args.word)
     reduced = britton.britton_reduce(word, params)
-    trivial = not reduced.tail and reduced.lead == 0
+    trivial = not reduced
     formatted = reduced.format()
     payload = {
         "command": "reduce",

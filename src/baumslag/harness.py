@@ -9,9 +9,8 @@ replay that single trial.
 
 Random elements of G(m, n) are sampled with the t-exponent uniform in
 [-T_BOUND, T_BOUND] and the kernel component z / (m^i n^j) with z
-uniform in [-NUM_BOUND, NUM_BOUND] and i, j <= POW_BOUND; the defaults
-keep exact arithmetic fast while reaching all code paths, and every
-suite accepts overrides.
+uniform in [-NUM_BOUND, NUM_BOUND] and i, j <= POW_BOUND; these bounds
+keep exact arithmetic fast while reaching all code paths.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .metabelian import (
     subgroup_params,
     two_gen_classify,
 )
+from .words import Word
 
 T_BOUND = 5
 NUM_BOUND = 100
@@ -153,11 +153,9 @@ def random_element(
     return element_over_mn(params, z, i, j, p)
 
 
-def _random_nonidentity(
-    rng: random.Random, params: MetabelianParams, **bounds
-) -> MetabelianElement:
+def _random_nonidentity(rng: random.Random, params: MetabelianParams) -> MetabelianElement:
     while True:
-        g = random_element(rng, params, **bounds)
+        g = random_element(rng, params)
         if not g.is_identity:
             return g
 
@@ -173,9 +171,6 @@ def suite_ct(
     params_list: Sequence,
     trials: int = 10_000,
     seed: int | str = 0,
-    t_bound: int = T_BOUND,
-    num_bound: int = NUM_BOUND,
-    pow_bound: int = POW_BOUND,
 ) -> SuiteReport:
     """Commutative transitivity: for commuting pairs built around a
     common nonidentity element, the outer two elements commute.
@@ -189,14 +184,13 @@ def suite_ct(
 
     def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // trials]
-        bounds = dict(t_bound=t_bound, num_bound=num_bound, pow_bound=pow_bound)
         for _ in range(100):
-            h = _random_nonidentity(rng, params, **bounds)
+            h = _random_nonidentity(rng, params)
             sampled = []
             for _ in range(2):
                 found = None
                 for _ in range(CENTRALIZER_RETRIES):
-                    q = rng.randint(-t_bound, t_bound)
+                    q = rng.randint(-T_BOUND, T_BOUND)
                     found = centralizer_sample(h, q)
                     if found is not None:
                         break
@@ -226,21 +220,10 @@ def suite_ct(
 
 def random_bs_word(rng: random.Random, max_len: int) -> britton.BsWord:
     """Uniform letters from {a, a^-1, t, t^-1}, length uniform in
-    [0, max_len]."""
+    [0, max_len], freely reduced."""
     length = rng.randint(0, max_len)
-    lead = 0
-    tail: list[list[int]] = []
-    for _ in range(length):
-        choice = rng.randrange(4)
-        if choice < 2:
-            exp = 1 if choice == 0 else -1
-            if tail:
-                tail[-1][1] += exp
-            else:
-                lead += exp
-        else:
-            tail.append([1 if choice == 2 else -1, 0])
-    return britton.BsWord(lead, tuple((s, e) for s, e in tail))
+    letters = (((0, 1), (0, -1), (1, 1), (1, -1))[rng.randrange(4)] for _ in range(length))
+    return britton.BsWord.from_word(Word(letters))
 
 
 def suite_oracle(
@@ -262,7 +245,7 @@ def suite_oracle(
         k = ks[index // trials]
         word = random_bs_word(rng, max_len)
         by_britton = britton.is_trivial(word, britton.BsParams(1, k))
-        by_eval = eval_word(word.to_word(), MetabelianParams(1, k)).is_identity
+        by_eval = eval_word(word, MetabelianParams(1, k)).is_identity
         if by_britton == by_eval:
             return []
         return [
@@ -492,9 +475,6 @@ def suite_classify(
     params_list: Sequence,
     trials: int = 1000,
     seed: int | str = 0,
-    t_bound: int = T_BOUND,
-    num_bound: int = NUM_BOUND,
-    pow_bound: int = POW_BOUND,
 ) -> SuiteReport:
     """Two-generator classification consistency on random pairs, after
     reproducing the three fixed reference examples in G(2, 3)."""
@@ -506,9 +486,8 @@ def suite_classify(
 
     def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // trials]
-        bounds = dict(t_bound=t_bound, num_bound=num_bound, pow_bound=pow_bound)
-        g1 = random_element(rng, params, **bounds)
-        g2 = random_element(rng, params, **bounds)
+        g1 = random_element(rng, params)
+        g2 = random_element(rng, params)
         problem = _classify_consistency(params, g1, g2)
         if problem is None:
             return []

@@ -40,7 +40,7 @@ from math import gcd
 
 from .errors import DomainError
 from .rationals import mn_member
-from .words import MAX_EXPONENT_BITS, Word, parse_pair
+from .words import MAX_EXPONENT_BITS, Word, checked_exponent, parse_pair
 
 INSIDE_H = "inside_h"
 COMMENSURABLE_CYCLIC = "commensurable_cyclic"
@@ -77,8 +77,17 @@ def _t_power(params: MetabelianParams, k: int) -> tuple[int, int]:
     """(up, down) with (m/n)^k = up/down: the t-action written once.
 
     Both are powers of m or n, so applying it to a member of Z[1/mn]
-    keeps the denominator a product of powers of m and n.
+    keeps the denominator a product of powers of m and n.  Raises
+    DomainError, before building them, when they may pass
+    MAX_EXPONENT_BITS bits: (b - 1).bit_length() is the least c with
+    b <= 2^c, and (m - 1) | (n - 1) has the bit length of max(m, n) - 1.
     """
+    bits = abs(k) * ((params.m - 1) | (params.n - 1)).bit_length()
+    if bits > MAX_EXPONENT_BITS:
+        raise DomainError(
+            f"t-exponent {k} needs powers of up to {bits} bits, above the "
+            f"limit of {MAX_EXPONENT_BITS}"
+        )
     if k >= 0:
         return params.m ** k, params.n ** k
     return params.n ** -k, params.m ** -k
@@ -187,15 +196,17 @@ class MetabelianElement:
         # (x, p)^k = (x * (1 - r^(kp)) / (1 - r^p), kp).  For k >= 0 this
         # is x * Q * down / down^k, for k < 0 it is -x * Q * down / up^|k|,
         # where Q = (down^|k| - up^|k|) / (down - up) is an exact integer
-        # quotient (and Q = |k| when up = down, i.e. r^p = 1).
+        # quotient (and Q = |k| when up = down, i.e. r^p = 1).  up^|k| and
+        # down^|k| are the t-action of t^(p|k|).
         up, down = _t_power(self.params, self.p)
         size = abs(k)
-        q = size if up == down else (down ** size - up ** size) // (down - up)
+        up_k, down_k = _t_power(self.params, self.p * size)
+        q = size if up == down else (down_k - up_k) // (down - up)
         num = self.x.numerator * q * down
         if k >= 0:
-            den = self.x.denominator * down ** size
+            den = self.x.denominator * down_k
         else:
-            num, den = -num, self.x.denominator * up ** size
+            num, den = -num, self.x.denominator * up_k
         return _element(self.params, num, den, self.p * k)
 
     def conjugate(self, by: "MetabelianElement") -> "MetabelianElement":
@@ -258,9 +269,14 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
     m^(P-) * n^(P+).  For G(1, k) this is the isomorphism from BS(1, k),
     the independent word-problem oracle.
 
-    Raises DomainError, before any power is built, when that denominator
-    may pass MAX_EXPONENT_BITS bits: (m - 1).bit_length() is the least b
-    with m <= 2^b.
+    Raises DomainError past MAX_EXPONENT_BITS bits: for the numerator in
+    lowest terms, and for that denominator before any power is built
+    ((m - 1).bit_length() is the least b with m <= 2^b).  Before refusing
+    a denominator, the sums are carried towards p = 0 and it is bounded
+    again: a sum e at p < 0 with m | e equals e * n/m at p + 1 (the pinch
+    of Britton's lemma), and one at p > 0 with n | e equals e * m/n at
+    p - 1.  Each carry lowers how often m (or n) divides e, so the
+    carries stop; a carried sum past the budget raises.
     """
     sums: dict[int, int] = {}
     p = 0
@@ -272,16 +288,31 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
         else:
             raise ValueError("word must be over the two-letter alphabet (a, t)")
     m, n = params.m, params.n
-    top = max(0, max(sums, default=0))
-    bottom = max(0, -min(sums, default=0))
-    bits = bottom * (m - 1).bit_length() + top * (n - 1).bit_length()
+    for carried in (False, True):
+        top = max(0, max(sums, default=0))
+        bottom = max(0, -min(sums, default=0))
+        bits = bottom * (m - 1).bit_length() + top * (n - 1).bit_length()
+        if bits <= MAX_EXPONENT_BITS or carried:
+            break
+        # Carry towards level 0; the value stays.  A carry that reaches a
+        # level takes that level's sum along, so the order does not matter.
+        for level in list(sums):
+            e = sums.pop(level, 0)  # 0 once a carry from further out took it
+            divisor, factor, step = (m, n, 1) if level < 0 else (n, m, -1)
+            while divisor > 1 and e and e % divisor == 0 and level:
+                e, level = checked_exponent(e // divisor * factor), level + step
+                e += sums.pop(level, 0)
+            if e:
+                sums[level] = e
     if bits > MAX_EXPONENT_BITS:
         raise DomainError(
             f"word value needs a denominator of up to {bits} bits, above the "
             f"limit of {MAX_EXPONENT_BITS}"
         )
     num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
-    return _element(params, num, m ** bottom * n ** top, p)
+    value = _element(params, num, m ** bottom * n ** top, p)
+    checked_exponent(value.x.numerator)
+    return value
 
 
 def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None:

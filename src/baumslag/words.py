@@ -16,17 +16,18 @@ over {a, t}) while multi-letter names such as "e_bar" still tokenise as
 one generator: parse_word scans each ident with one compiled pattern and
 splits it at the longest declared name at each offset.  Digits are
 ``\d``, exactly the decimal digits int() accepts ("a^²" is a malformed
-exponent, not a crash).  An exponent longer than the interpreter's
-integer-conversion limit (4 300 digits by default) raises DomainError.
+exponent, not a crash).
 
 Powers are computed in closed form (see Word.__pow__), so ``a^N`` and
 ``(t a t^-1)^N`` cost O(digits of N).  A power whose cyclically reduced
 core has two or more syllables has a result whose length grows with the
 exponent; when that length would exceed MAX_SYLLABLES (2^20) syllables,
-the power raises DomainError before building anything.  An exponent that
-free reduction or a power computes (by merging syllables or multiplying
-by k) raises DomainError past MAX_EXPONENT_BITS bits, so every reduced
-word prints.  The CLI reports DomainError with exit code 3.
+the power raises DomainError before building anything.  Every exponent,
+parsed or computed by free reduction or a power (by merging syllables or
+multiplying by k), raises DomainError past MAX_EXPONENT_BITS bits, so
+every reduced word prints; one written with more digits than the
+interpreter's integer-conversion limit (4 300 by default) is refused
+before conversion.  The CLI reports DomainError with exit code 3.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ TOKEN_RE = re.compile(
 )
 SPACE_RE = re.compile(r"\s*")
 
-# Largest number of syllables a power (or a BS(m,n) t-expansion) may build.
+# Largest number of syllables a power may build, and of t-letters a BS(m,n)
+# word may hold.
 MAX_SYLLABLES = 2**20
 
 # Largest bit length a computed integer may reach (an exponent merged by
@@ -131,11 +133,27 @@ class Word:
         """Number of syllables."""
         return len(self.letters)
 
+    @classmethod
+    def _make(cls, letters: tuple[tuple[int, int], ...]) -> "Word":
+        """A word of this class on letters that are already reduced (the
+        operators call it on self, so a subclass keeps its class)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "letters", letters)
+        return out
+
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # Both factors are reduced: only syllables at the seam cancel or merge.
+        left, right = self.letters, other.letters
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            exp = checked_exponent(left[i - 1][1] + right[j][1])
+            if exp:
+                return self._make(left[: i - 1] + ((right[j][0], exp),) + right[j + 1 :])
+            i, j = i - 1, j + 1
+        return self._make(left[:i] + right[j:])
 
     def __invert__(self) -> "Word":
-        return Word((g, -e) for g, e in reversed(self.letters))
+        return self._make(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
         """w^k in O(|w| + |w^k|) steps, with no k-fold multiplication.
@@ -150,7 +168,7 @@ class Word:
         if k == 1:
             return self
         if not k or not s:
-            return Word()
+            return self._make(())
         i = 0
         while 2 * i + 1 < len(s) and s[-1 - i] == (s[i][0], -s[i][1]):
             i += 1
@@ -176,10 +194,7 @@ class Word:
             core = head + period * (k - 1) + tail
         # Adjacent generators differ at every seam, so the result is
         # already reduced and skips _reduce.
-        out = object.__new__(Word)
-        inverse_c = tuple((g, -e) for g, e in reversed(c))
-        object.__setattr__(out, "letters", c + core + inverse_c)
-        return out
+        return self._make(c + core + tuple((g, -e) for g, e in reversed(c)))
 
     def __repr__(self) -> str:
         return f"Word({list(self.letters)!r})"
@@ -210,8 +225,7 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
 
     Raises UnknownGeneratorError, MalformedExponentError, or
     UnbalancedParenthesisError, each carrying the offending position, and
-    DomainError for an exponent past the interpreter's integer-conversion
-    digit limit.
+    DomainError for an exponent past MAX_EXPONENT_BITS bits.
     """
     index = {name: i for i, name in enumerate(alphabet)}
     longest = max(map(len, index), default=0)
@@ -274,6 +288,7 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
                     f"exponent has {len(digits.lstrip('-'))} digits, above the "
                     f"limit of {sys.get_int_max_str_digits()} for integer conversion"
                 ) from None
+            checked_exponent(exp)
         if ident is None:
             letters.extend((group ** exp).letters)
         elif exp:

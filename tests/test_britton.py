@@ -26,14 +26,24 @@ def W(text):
 
 def in_g(w, k):
     """Image of a BS(1, k) word in G(1, k) under a -> (1, 0), t -> (0, 1)."""
-    return eval_word(w.to_word(), MetabelianParams(1, k))
+    return eval_word(w, MetabelianParams(1, k))
+
+
+def one_letter_tail(w):
+    """w.tail with one (sign, exponent) pair per t-letter: t^K a^e is
+    |K| - 1 pairs (sign, 0) followed by (sign, e)."""
+    out = []
+    for k, e in w.tail:
+        sign = 1 if k > 0 else -1
+        out += [(sign, 0)] * (abs(k) - 1) + [(sign, e)]
+    return out
 
 
 def pinches(w, params):
     """Indices j where t^sj a^ej t^s(j+1) is a pinch, scanned from the
     definition independently of britton_reduce."""
-    signs = [s for s, _ in w.tail]
-    exps = [e for _, e in w.tail]
+    signs = [s for s, _ in one_letter_tail(w)]
+    exps = [e for _, e in one_letter_tail(w)]
     return [
         j
         for j in range(len(signs) - 1)
@@ -63,7 +73,7 @@ def reference_reduce(w, params):
     kept as its differential oracle: rescan from the pinch's left
     neighbour after every rewrite."""
     lead = w.lead
-    tail = [[s, e] for s, e in w.tail]
+    tail = [[s, e] for s, e in one_letter_tail(w)]
     j = 0
     while j < len(tail) - 1:
         sign, exp = tail[j]
@@ -115,17 +125,41 @@ def test_word_round_trip():
 
 def test_concat_invert_pow():
     u, v = W("a t"), W("t^-1 a^2")
-    # Concatenation keeps raw syllables; only britton_reduce removes pinches.
-    assert u * v == BsWord(1, ((1, 0), (-1, 2)))
+    # Word's operators: free reduction only; britton_reduce removes pinches.
+    assert u * v == BsWord(1, ((1, 0), (-1, 2))) == W("a^3")
     assert ~W("a t a^3") == W("a^-3 t^-1 a^-1")
     assert W("a t") ** 2 == W("a t a t")
     assert W("a t") ** -1 == W("t^-1 a^-1")
-    assert (W("a t") * ~W("a t")).tail == ((1, 0), (-1, -1))  # raw, not yet reduced
+    assert not W("a t") * ~W("a t")
+    assert (W("t a^2") * W("t^-1 a^3 t")).tail == ((1, 2), (-1, 3), (1, 0))  # a pinch stays
+    for result in (u * v, ~u, u ** 3, u ** 0, BsWord() * BsWord()):
+        assert type(result) is BsWord
+
+
+def test_bsword_views():
+    w = BsWord.from_text("t^5 a^2 t^-1")
+    assert w.lead == 0
+    assert w.tail == ((5, 2), (-1, 0))
+    assert w.t_length == 6
+    assert w.format() == "t^5 a^2 t^-1"
+    assert BsWord(-3, w.tail) == W("a^-3 t^5 a^2 t^-1")
+    assert (BsWord(4).lead, BsWord(4).tail, BsWord(4).t_length) == (4, (), 0)
+    word = Word([(1, 2), (0, 1)])
+    assert BsWord.from_word(word).letters is word.letters
+    with pytest.raises(ValueError, match="two-letter alphabet"):
+        BsWord.from_word(Word([(0, 1), (2, 1)]))
+
+
+def test_bsword_construction_reduces_freely():
+    w = BsWord(2, ((1, 0), (1, 3), (-1, 0), (1, -3)))
+    assert w.letters == ((0, 2), (1, 2))
+    assert w.tail == ((2, 0),)
+    assert BsWord(0, ((1, 0), (-1, 0))) == BsWord()
+    assert BsWord(5, ((1, 0), (-1, -5))) == BsWord()
 
 
 def test_bsword_power_matches_repeated_product():
-    # BsWord is not re-reduced, so the closed form must equal the k-fold
-    # product syllable for syllable, zero exponents included.
+    # The closed form must equal the k-fold product, which Word's * reduces.
     rng = random.Random(7919)
     words = [BsWord(), BsWord(5), W("a t"), W("t^-1 a t a")]
     for _ in range(200):
@@ -286,6 +320,27 @@ def test_britton_reduce_matches_reference_on_cascades(m, n):
             tail += tuple((1, rng.choice((0, 0, m, n, 1))) for _ in range(depth))
             w = BsWord(rng.randint(-2, 2), tail)
             assert britton_reduce(w, params) == reference_reduce(w, params), w
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 1), (1, -1), (2, 3), (-2, 3), (1, 2), (2, 4), (3, -9), (2, 2)]
+)
+def test_britton_reduce_matches_reference_on_runs(m, n):
+    # Runs t^+-k, k up to 50, around exponents that are often powers of m
+    # or n, so that a run pinches none, some or all of its letters.
+    params = BsParams(m, n)
+    rng = random.Random(f"runs:{m}:{n}")
+    for _ in range(150):
+        tail = [
+            (
+                rng.choice((1, -1)) * rng.randint(1, 50),
+                rng.choice((1, -1)) * rng.choice((m, n, 1)) ** rng.randint(0, 50)
+                if rng.random() < 0.8 else rng.randint(-3, 3),
+            )
+            for _ in range(rng.randint(1, 8))
+        ]
+        w = BsWord(rng.randint(-2, 2), tail)
+        assert britton_reduce(w, params) == reference_reduce(w, params), w
 
 
 def test_exponent_budget():

@@ -131,6 +131,33 @@ def test_eval_over_denominator_budget_exits_3(capsys):
     assert code == 0 and "element: (1, 0)" in out
 
 
+def test_eval_carries_before_bounding(capsys):
+    # a^-2 at t-exponent -20000 is a^-3 at -19999, which cancels a^3: the
+    # value is (0, 0), though the raw levels span 20 000 bits.
+    word = "t^-20000 a^-2 t a^3 t^19999"
+    code, out, err = run(capsys, "eval", "--group", "G(2,3)", "--word", word)
+    assert code == 0, err
+    assert "element: (0, 0)" in out
+
+
+def test_eval_over_numerator_budget_exits_3(capsys):
+    # t^-13000 a^(2^13000) t^13000 = a^(3^13000) in G(2,3), and
+    # t^-20000 a t^20000 = a^(2^20000) in G(1,2): too long to print.
+    for group, word in (("G(2,3)", f"t^-13000 a^{2**13000} t^13000"),
+                        ("G(1,2)", "t^-20000 a t^20000")):
+        code, out, err = run(capsys, "eval", "--group", group, "--word", word)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "above the limit of 14000" in err
+
+
+def test_classify_over_t_exponent_budget_exits_3(capsys):
+    # (1, 1)^100000 needs 3^100000; (1, 10000000) needs 3^10000000.
+    for elems in ("(1, 1); (1, 100000)", "(1, 10000000); (1, 1)"):
+        code, out, err = run(capsys, "classify", "--group", "G(2,3)", "--elems", elems)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "above the limit of 14000" in err
+
+
 def test_eval_requires_g_family(capsys):
     code, _, err = run(capsys, "eval", "--group", "BS(1,2)", "--word", "a")
     assert code == 2

@@ -23,7 +23,7 @@ from baumslag.metabelian import (
     two_gen_classify,
 )
 from baumslag.rationals import mn_member
-from baumslag.words import parse_word
+from baumslag.words import MAX_EXPONENT_BITS, Word, parse_word
 
 G23 = MetabelianParams(2, 3)
 G12 = MetabelianParams(1, 2)
@@ -250,6 +250,27 @@ def test_eval_word():
     assert eval_word(parse_word("a t", ("a", "t")), G12) == elem(G12, 1, 1)
     assert eval_word(parse_word("", ("a", "t")), G23) == MetabelianElement.identity(G23)
     assert eval_word(parse_word("t^-1 a^2 t", ("a", "t")), G23) == elem(G23, 3, 0)
+
+
+
+def test_eval_word_carries_far_levels():
+    # r, a product of conjugates of t^-1 a^(m c) t a^(-n c), is trivial.
+    # Moved to t-exponent +-N past the denominator budget, its level sums
+    # carry to 0, and t^-N r t^N v has the value of v.
+    rng = random.Random(5527)
+    far = MAX_EXPONENT_BITS + 1000
+    t, a = Word([(1, 1)]), Word([(0, 1)])
+    for m, n in ((2, 3), (3, 2), (1, 2), (2, 1), (3, 5), (4, 9)):
+        params = MetabelianParams(m, n)
+        for _ in range(40):
+            r = Word()
+            for _ in range(rng.randint(1, 5)):
+                c = rng.choice((1, -1)) * rng.randint(1, 3)
+                g = t ** rng.randint(-3, 3) * a ** rng.randint(-2, 2)
+                r = r * g * t ** -1 * a ** (m * c) * t * a ** (-n * c) * ~g
+            shift = t ** (rng.choice((1, -1)) * far)
+            v = Word((rng.randrange(2), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6)))
+            assert eval_word(~shift * r * shift * v, params) == eval_word(v, params)
 
 
 def test_two_gen_classify_examples():

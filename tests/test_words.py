@@ -61,6 +61,20 @@ def test_word_normalises_on_construction():
     assert w == Word()
 
 
+def test_mul_matches_free_reduction_of_the_concatenation():
+    # * reduces only at the seam; Word() runs the whole stack reduction.
+    rng = random.Random(4099)
+    for _ in range(2000):
+        u = Word((rng.randrange(3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8)))
+        v = Word((rng.randrange(3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8)))
+        # Often start v with the inverse of a suffix of u, or a near one.
+        cut = rng.randint(0, len(u))
+        v = ~Word(u.letters[cut:]) * Word([(rng.randrange(3), rng.randint(-1, 1))]) * v
+        assert (u * v).letters == Word(u.letters + v.letters).letters, (u, v)
+    with pytest.raises(DomainError, match=f"above the limit of {MAX_EXPONENT_BITS}"):
+        Word([(1, 1), (0, 2**MAX_EXPONENT_BITS - 1)]) * Word([(0, 1)])
+
+
 def test_parse_examples():
     w = parse_word("t^-1 a^2 t", AT)
     assert w.letters == ((1, -1), (0, 2), (1, 1))
@@ -268,8 +282,12 @@ def test_parse_exponent_digits_are_decimal():
 
 
 def test_parse_exponent_digit_limit():
+    # One budget for parsed and computed exponents: MAX_EXPONENT_BITS bits.
+    largest = 2**MAX_EXPONENT_BITS - 1
+    assert parse_word(f"t a^-{largest}", AT).letters[1] == (0, -largest)
+    with pytest.raises(DomainError, match=f"{MAX_EXPONENT_BITS + 1} bits, above the limit"):
+        parse_word(f"t a^-{largest + 1}", AT)
     limit = sys.get_int_max_str_digits()
-    assert parse_word(f"t a^-{'7' * limit}", AT).letters[1] == (0, -int("7" * limit))
     with pytest.raises(DomainError, match=f"{limit + 1} digits, above the limit of {limit}"):
         parse_word(f"t a^-{'7' * (limit + 1)}", AT)
 

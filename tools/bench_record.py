@@ -55,6 +55,15 @@ SWEEPS = {
         "params = BsParams(1, 1)",
         "britton_reduce(w, params)",
     ),
+    # t^-SIZE a t^SIZE in BS(1,2), from text: SIZE pinches, each doubling
+    # the exponent, up to a^(2^13600), just under MAX_EXPONENT_BITS.
+    "britton_cascade_bs12_exponent": (
+        [1_700, 3_400, 6_800, 13_600],
+        "from baumslag.britton import BsParams, BsWord, britton_reduce\n"
+        "text = f't^-{SIZE} a t^{SIZE}'\n"
+        "params = BsParams(1, 2)",
+        "britton_reduce(BsWord.from_text(text), params)",
+    ),
     # SIZE syllables alternating over {a, t}, exponents in +-1..3.
     "parse_word_at_syllables": (
         [3_000, 6_000, 12_000, 24_000, 48_000],
