@@ -152,12 +152,15 @@ def _commands() -> list[tuple[str, list[str]]]:
     add("verify_oracle_group", "verify", "--suite", "oracle", "--group", "BS(1,7)",
         "--trials", "30", "--seed", "7")
     add("verify_z2", "verify", "--suite", "z2", "--bound", "2")
+    add("verify_z2_defaults", "verify", "--suite", "z2")
     add("verify_z2_skips", "verify", "--suite", "z2", "--group", "BS(1,2)",
         "--group", "BS(-2,3)", "--bound", "2")
     add("verify_witnesses", "verify", "--suite", "witnesses")
     add("verify_witnesses_abelian", "verify", "--suite", "witnesses", "--group", "G(1,1)")
     add("verify_bezout", "verify", "--suite", "bezout", "--bound", "3")
+    add("verify_bezout_defaults", "verify", "--suite", "bezout")
     add("verify_classify", "verify", "--suite", "classify", "--trials", "20")
+    add("verify_classify_defaults", "verify", "--suite", "classify")
     add("verify_gog", "verify", "--suite", "gog")
 
     # Usage errors (exit 2) and domain errors (exit 3).
