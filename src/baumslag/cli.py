@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from math import gcd
 
 from . import britton, harness
 from .abelianization import abelianization
@@ -351,87 +350,40 @@ def cmd_pi1(args) -> int:
     return EXIT_OK
 
 
-def _coprime_pairs(limit: int, ordered: bool) -> list[tuple[int, int]]:
-    if ordered:
-        return [
-            (m, n)
-            for m in range(1, limit + 1)
-            for n in range(1, limit + 1)
-            if gcd(m, n) == 1
-        ]
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(m + 1, limit + 1)
-        if gcd(m, n) == 1
-    ]
+def _oracle_k(group) -> int:
+    bs = _require_bs(group)
+    if bs.m != 1 or bs.n < 1:
+        raise DomainError(f"oracle suite needs BS(1,k) groups with k >= 1, got {bs}")
+    return bs.n
+
+
+def _bs_pair(group) -> tuple[int, int]:
+    bs = _require_bs(group)
+    return bs.m, bs.n
+
+
+# Per suite: what a --group becomes in the suite's first argument (None:
+# --group is ignored), and the suite parameter each of --trials and
+# --bound sets.  harness.suite_* holds the default of every flag left out.
+VERIFY_SUITES = {
+    "ct": (_require_g, {"trials": "trials"}),
+    "oracle": (_oracle_k, {"trials": "trials"}),
+    "z2": (_bs_pair, {"bound": "bound"}),
+    "witnesses": (_require_g, {}),
+    "bezout": (_require_g, {"bound": "k_max"}),
+    "classify": (_require_g, {"trials": "trials"}),
+    "gog": (None, {}),
+}
 
 
 def cmd_verify(args) -> int:
-    groups = [_parse_group(g) for g in args.group] if args.group else None
-
-    def g_pairs(default: list[tuple[int, int]]) -> list[MetabelianParams]:
-        if groups is None:
-            return [MetabelianParams(m, n) for m, n in default]
-        return [_require_g(g) for g in groups]
-
-    if args.suite == "ct":
-        report = harness.suite_ct(
-            g_pairs(_coprime_pairs(7, ordered=False)),
-            trials=args.trials if args.trials is not None else 10_000,
-            seed=args.seed,
-        )
-    elif args.suite == "oracle":
-        if groups is None:
-            ks = [2, 3, 5]
-        else:
-            ks = []
-            for g in groups:
-                bs = _require_bs(g)
-                if bs.m != 1 or bs.n < 1:
-                    raise DomainError(
-                        f"oracle suite needs BS(1,k) groups with k >= 1, got {bs}"
-                    )
-                ks.append(bs.n)
-        report = harness.suite_oracle(
-            ks,
-            trials=args.trials if args.trials is not None else 10_000,
-            max_len=30,
-            seed=args.seed,
-        )
-    elif args.suite == "z2":
-        pairs = None
-        if groups is not None:
-            pairs = [(_require_bs(g).m, _require_bs(g).n) for g in groups]
-        report = harness.suite_z2(
-            bound=args.bound if args.bound is not None else 4,
-            seed=args.seed,
-            pairs=pairs,
-        )
-    elif args.suite == "witnesses":
-        report = harness.suite_witnesses(
-            g_pairs(_coprime_pairs(7, ordered=True)), seed=args.seed
-        )
-    elif args.suite == "bezout":
-        report = harness.suite_bezout(
-            g_pairs([(2, 3), (3, 5), (1, 2), (2, 7)]),
-            k_max=args.bound if args.bound is not None else 5,
-            seed=args.seed,
-        )
-    elif args.suite == "classify":
-        report = harness.suite_classify(
-            g_pairs([(2, 3)]),
-            trials=args.trials if args.trials is not None else 1000,
-            seed=args.seed,
-        )
-    elif args.suite == "gog":
-        report = harness.suite_gog(seed=args.seed)
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    if args.format == "structured":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
+    groups = [_parse_group(g) for g in args.group or ()]
+    convert, flags = VERIFY_SUITES[args.suite]
+    chosen = [[convert(g) for g in groups]] if groups and convert else []
+    given = {name: getattr(args, flag) for flag, name in flags.items()}
+    given = {name: value for name, value in given.items() if value is not None}
+    report = getattr(harness, f"suite_{args.suite}")(*chosen, seed=args.seed, **given)
+    sys.stdout.write(report.to_json() if args.format == "structured" else report.to_text())
     return EXIT_OK if report.verdict == "pass" else EXIT_VERIFICATION_FAILED
 
 
@@ -512,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=("ct", "oracle", "z2", "witnesses", "bezout", "classify", "gog"),
+        choices=tuple(VERIFY_SUITES),
     )
     p.add_argument(
         "--group",

@@ -35,7 +35,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .words import (
@@ -601,6 +601,28 @@ def _expect(condition: bool, message: str, path: str) -> None:
 _META_KEYS = ("alpha", "alpha_bar")
 
 
+def _strings(body: dict, key: str, path: str) -> list:
+    """body[key], default [], which must be a list of strings."""
+    value = body.get(key, [])
+    _expect(
+        isinstance(value, list) and all(isinstance(s, str) for s in value),
+        f"'{key}' must be a list of strings",
+        f"{path}.{key}",
+    )
+    return value
+
+
+def _words(texts: list, alphabet: Sequence[str], path: str) -> list[Word]:
+    """The texts parsed over alphabet; a syntax error names path[i]."""
+    words = []
+    for i, text in enumerate(texts):
+        try:
+            words.append(parse_word(text, alphabet))
+        except WordParseError as err:
+            raise GogFileError(str(err), f"{path}[{i}]") from None
+    return words
+
+
 def loads(text: str) -> GraphOfGroups:
     """Parse a graph-of-groups JSON document."""
     try:
@@ -620,29 +642,14 @@ def loads(text: str) -> GraphOfGroups:
         path = f"vertices.{vid}"
         _expect(bool(IDENT_RE.fullmatch(vid)), "vertex id is not an identifier", path)
         _expect(isinstance(body, dict), "vertex body must be an object", path)
-        gens = body.get("generators", [])
-        rels = body.get("relators", [])
-        _expect(
-            isinstance(gens, list) and all(isinstance(s, str) for s in gens),
-            "'generators' must be a list of strings",
-            f"{path}.generators",
-        )
-        _expect(
-            isinstance(rels, list) and all(isinstance(s, str) for s in rels),
-            "'relators' must be a list of strings",
-            f"{path}.relators",
-        )
+        gens = _strings(body, "generators", path)
+        rels = _strings(body, "relators", path)
         # Names are checked first: the parser tokenises identifiers only.
         try:
             Presentation(tuple(gens), ())
         except ValueError as err:
             raise GogFileError(str(err), f"{path}.generators") from None
-        relators = []
-        for i, rel in enumerate(rels):
-            try:
-                relators.append(parse_word(rel, gens))
-            except WordParseError as err:
-                raise GogFileError(str(err), f"{path}.relators[{i}]") from None
+        relators = _words(rels, gens, f"{path}.relators")
         vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
 
     edge_triples: list[tuple[str, str, str]] = []
@@ -671,33 +678,17 @@ def loads(text: str) -> GraphOfGroups:
                 f"unknown vertex {entry[field_name]!r}",
                 f"{path}.{field_name}",
             )
-        gens = entry.get("edge_generators", [])
-        _expect(
-            isinstance(gens, list) and all(isinstance(s, str) for s in gens),
-            "'edge_generators' must be a list of strings",
-            f"{path}.edge_generators",
-        )
+        gens = _strings(entry, "edge_generators", path)
         words: dict[str, list[Word]] = {}
         for side, vertex_field in (("alpha", "from"), ("alpha_bar", "to")):
-            texts = entry.get(side, [])
-            _expect(
-                isinstance(texts, list) and all(isinstance(s, str) for s in texts),
-                f"'{side}' must be a list of strings",
-                f"{path}.{side}",
-            )
+            texts = _strings(entry, side, path)
             _expect(
                 len(texts) == len(gens),
                 f"'{side}' must list one image per edge generator",
                 f"{path}.{side}",
             )
             alphabet = vertex_groups[entry[vertex_field]].generators
-            parsed = []
-            for i, txt in enumerate(texts):
-                try:
-                    parsed.append(parse_word(txt, alphabet))
-                except WordParseError as err:
-                    raise GogFileError(str(err), f"{path}.{side}[{i}]") from None
-            words[side] = parsed
+            words[side] = _words(texts, alphabet, f"{path}.{side}")
         meta = entry.get("index_meta", {})
         _expect(isinstance(meta, dict), "'index_meta' must be an object", f"{path}.index_meta")
         for key, value in meta.items():

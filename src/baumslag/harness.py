@@ -1,5 +1,10 @@
 """Deterministic, seeded property suites.
 
+This module is where the suites' defaults live: each ``suite_*``
+signature names the groups, trial count and bound that ``baumslag verify
+--suite X`` runs when the flag is left out, and the command line passes
+on only the flags that were given.
+
 Every suite produces a SuiteReport whose text and JSON renderings are
 byte-stable functions of (suite, parameters, seed): the i-th trial draws
 all of its randomness from ``random.Random(f"{seed}:{i}")``, and trials
@@ -19,6 +24,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from . import britton
@@ -52,6 +58,13 @@ T_BOUND = 5
 NUM_BOUND = 100
 POW_BOUND = 4
 CENTRALIZER_RETRIES = 32
+ORACLE_MAX_LEN = 30
+
+# Default groups: the coprime (m, n) with 1 <= m, n <= 7, and for ct only
+# those with m < n; z2 runs BS(m, n) for 2 <= m, n <= 4.
+WITNESS_GROUPS = tuple((m, n) for m in range(1, 8) for n in range(1, 8) if gcd(m, n) == 1)
+CT_GROUPS = tuple((m, n) for m, n in WITNESS_GROUPS if m < n)
+Z2_PAIRS = tuple((m, n) for m in range(2, 5) for n in range(2, 5))
 
 
 @dataclass
@@ -124,32 +137,29 @@ def _require_nonnegative(name: str, value: int) -> None:
 
 
 def _run_trials(
-    total: int,
+    suite: str,
+    parameters: dict,
     seed: int | str,
+    total: int,
     trial: Callable[[int, random.Random], list[Problem]],
-) -> list[dict]:
-    """Run trials 0 .. total-1 in index order and turn their problems
-    into failure records."""
+    notes: Sequence[str] = (),
+) -> SuiteReport:
+    """Run trials 0 .. total-1 in index order and report their problems
+    as failure records, under the parameters plus the seed."""
     failures: list[dict] = []
     for index in range(total):
         sub = f"{seed}:{index}"
         failures.extend(
             _failure(index, sub, p) for p in trial(index, random.Random(sub))
         )
-    return failures
+    return SuiteReport(suite, {**parameters, "seed": seed}, total, failures, list(notes))
 
 
-def random_element(
-    rng: random.Random,
-    params: MetabelianParams,
-    t_bound: int = T_BOUND,
-    num_bound: int = NUM_BOUND,
-    pow_bound: int = POW_BOUND,
-) -> MetabelianElement:
-    z = rng.randint(-num_bound, num_bound)
-    i = rng.randint(0, pow_bound)
-    j = rng.randint(0, pow_bound)
-    p = rng.randint(-t_bound, t_bound)
+def random_element(rng: random.Random, params: MetabelianParams) -> MetabelianElement:
+    z = rng.randint(-NUM_BOUND, NUM_BOUND)
+    i = rng.randint(0, POW_BOUND)
+    j = rng.randint(0, POW_BOUND)
+    p = rng.randint(-T_BOUND, T_BOUND)
     return element_over_mn(params, z, i, j, p)
 
 
@@ -168,7 +178,7 @@ def _coerce_params(values: Iterable) -> list[MetabelianParams]:
 
 
 def suite_ct(
-    params_list: Sequence,
+    params_list: Sequence = CT_GROUPS,
     trials: int = 10_000,
     seed: int | str = 0,
 ) -> SuiteReport:
@@ -180,7 +190,6 @@ def suite_ct(
     redrawing h), and check that g and k commute."""
     _require_nonnegative("trials", trials)
     groups = _coerce_params(params_list)
-    total = len(groups) * trials
 
     def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // trials]
@@ -205,17 +214,8 @@ def suite_ct(
             return [(params, f"h={h} g={g} k={k}", "[g, k] = 1", "g and k do not commute")]
         return [(params, "", "centralizer samples", "sampling exhausted")]
 
-    failures = _run_trials(total, seed, trial)
-    return SuiteReport(
-        suite="ct",
-        parameters={
-            "params": " ".join(str(p) for p in groups),
-            "trials": trials,
-            "seed": seed,
-        },
-        trials=total,
-        failures=failures,
-    )
+    parameters = {"params": " ".join(map(str, groups)), "trials": trials}
+    return _run_trials("ct", parameters, seed, len(groups) * trials, trial)
 
 
 def random_bs_word(rng: random.Random, max_len: int) -> britton.BsWord:
@@ -227,23 +227,22 @@ def random_bs_word(rng: random.Random, max_len: int) -> britton.BsWord:
 
 
 def suite_oracle(
-    ks: Sequence[int],
+    ks: Sequence[int] = (2, 3, 5),
     trials: int = 10_000,
-    max_len: int = 30,
     seed: int | str = 0,
 ) -> SuiteReport:
     """Word-problem cross-validation on BS(1, k): Britton reduction must
-    agree with evaluation in G(1, k) on random words."""
+    agree with evaluation in G(1, k) on random words of up to
+    ORACLE_MAX_LEN letters."""
     _require_nonnegative("trials", trials)
     ks = list(ks)
     for k in ks:
         if k < 1:
             raise DomainError(f"oracle suite needs k >= 1, got {k}")
-    total = len(ks) * trials
 
     def trial(index: int, rng: random.Random) -> list[Problem]:
         k = ks[index // trials]
-        word = random_bs_word(rng, max_len)
+        word = random_bs_word(rng, ORACLE_MAX_LEN)
         by_britton = britton.is_trivial(word, britton.BsParams(1, k))
         by_eval = eval_word(word, MetabelianParams(1, k)).is_identity
         if by_britton == by_eval:
@@ -257,38 +256,19 @@ def suite_oracle(
             )
         ]
 
-    failures = _run_trials(total, seed, trial)
-    return SuiteReport(
-        suite="oracle",
-        parameters={
-            "k": " ".join(str(k) for k in ks),
-            "max_len": max_len,
-            "trials": trials,
-            "seed": seed,
-        },
-        trials=total,
-        failures=failures,
-    )
+    parameters = {"k": " ".join(map(str, ks)), "max_len": ORACLE_MAX_LEN, "trials": trials}
+    return _run_trials("oracle", parameters, seed, len(ks) * trials, trial)
 
 
 def suite_z2(
-    m_range: tuple[int, int] = (2, 4),
-    n_range: tuple[int, int] = (2, 4),
+    pairs: Sequence[tuple[int, int]] = Z2_PAIRS,
     bound: int = 4,
     seed: int | str = 0,
-    pairs: Sequence[tuple[int, int]] | None = None,
 ) -> SuiteReport:
     """Rank-2 witness over a parameter grid: the generators t^-1 a t a
     and a^n of BS(m, n) commute, and no small mixed power collapses.
     Grid cells with |m| <= 1 or |n| <= 1 are skipped with a note."""
-    if pairs is None:
-        cells = [
-            (m, n)
-            for m in range(m_range[0], m_range[1] + 1)
-            for n in range(n_range[0], n_range[1] + 1)
-        ]
-    else:
-        cells = [tuple(p) for p in pairs]
+    cells = [tuple(p) for p in pairs]
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     runnable = [c for c in cells if abs(c[0]) > 1 and abs(c[1]) > 1]
@@ -311,27 +291,16 @@ def suite_z2(
             )
         return out
 
-    failures = _run_trials(len(runnable), seed, trial)
     notes = [f"skipped BS({m},{n}): needs |m|, |n| > 1" for m, n in skipped]
     notes.append("faithfulness is checked up to the stated bound only")
-    return SuiteReport(
-        suite="z2",
-        parameters={
-            "pairs": " ".join(f"({m},{n})" for m, n in cells),
-            "bound": bound,
-            "seed": seed,
-        },
-        trials=len(runnable),
-        failures=failures,
-        notes=notes,
-    )
+    parameters = {"pairs": " ".join(f"({m},{n})" for m, n in cells), "bound": bound}
+    return _run_trials("z2", parameters, seed, len(runnable), trial, notes)
 
 
-def suite_witnesses(params_list: Sequence, seed: int | str = 0) -> SuiteReport:
+def suite_witnesses(params_list: Sequence = WITNESS_GROUPS, seed: int | str = 0) -> SuiteReport:
     """Re-verify the conjugate-power and malnormality-violation witnesses
     by evaluating their defining identities with group arithmetic."""
     groups = _coerce_params(params_list)
-    notes: list[str] = []
 
     def trial(index: int, rng: random.Random) -> list[Problem]:
         params = groups[index // 2]
@@ -349,27 +318,18 @@ def suite_witnesses(params_list: Sequence, seed: int | str = 0) -> SuiteReport:
             return [(params, witness.describe(), verifies, "verification failed")]
         return []
 
-    failures = _run_trials(2 * len(groups), seed, trial)
-    for params in groups:
-        if params.is_abelian:
-            notes.append(
-                "G(1,1): both witnesses are none; the group is free abelian of "
-                "rank 2, so it already contains Z^2 as itself"
-            )
-    return SuiteReport(
-        suite="witnesses",
-        parameters={
-            "params": " ".join(str(p) for p in groups),
-            "seed": seed,
-        },
-        trials=2 * len(groups),
-        failures=failures,
-        notes=notes,
-    )
+    notes = [
+        "G(1,1): both witnesses are none; the group is free abelian of "
+        "rank 2, so it already contains Z^2 as itself"
+        for params in groups
+        if params.is_abelian
+    ]
+    parameters = {"params": " ".join(map(str, groups))}
+    return _run_trials("witnesses", parameters, seed, 2 * len(groups), trial, notes)
 
 
 def suite_bezout(
-    params_list: Sequence,
+    params_list: Sequence = ((2, 3), (3, 5), (1, 2), (2, 7)),
     k_max: int = 5,
     seed: int | str = 0,
 ) -> SuiteReport:
@@ -399,17 +359,8 @@ def suite_bezout(
         inputs = f"k={k} side={side} q={cert.q} q'={cert.q_prime}"
         return [(params, inputs, name, "check failed") for name, ok in checks.items() if not ok]
 
-    failures = _run_trials(len(work), seed, trial)
-    return SuiteReport(
-        suite="bezout",
-        parameters={
-            "params": " ".join(str(p) for p in groups),
-            "k_max": k_max,
-            "seed": seed,
-        },
-        trials=len(work),
-        failures=failures,
-    )
+    parameters = {"params": " ".join(map(str, groups)), "k_max": k_max}
+    return _run_trials("bezout", parameters, seed, len(work), trial)
 
 
 def _classify_consistency(
@@ -472,15 +423,15 @@ def classify_fixed_examples() -> list[str]:
 
 
 def suite_classify(
-    params_list: Sequence,
+    params_list: Sequence = ((2, 3),),
     trials: int = 1000,
     seed: int | str = 0,
 ) -> SuiteReport:
     """Two-generator classification consistency on random pairs, after
-    reproducing the three fixed reference examples in G(2, 3)."""
+    reproducing the three fixed reference examples in G(2, 3), which
+    count as trials and report first."""
     _require_nonnegative("trials", trials)
     groups = _coerce_params(params_list)
-    total = len(groups) * trials
     fixed_problems = classify_fixed_examples()
     notes = ["fixed examples in G(2,3): reproduced"] if not fixed_problems else []
 
@@ -493,22 +444,14 @@ def suite_classify(
             return []
         return [(params, f"g1={g1} g2={g2}", "classification consistency", problem)]
 
-    failures = [
+    parameters = {"params": " ".join(map(str, groups)), "trials": trials}
+    report = _run_trials("classify", parameters, seed, len(groups) * trials, trial, notes)
+    report.failures[:0] = [
         _failure(-1, "fixed", ("G(2,3)", "fixed example", "tagged classification", p))
         for p in fixed_problems
     ]
-    failures.extend(_run_trials(total, seed, trial))
-    return SuiteReport(
-        suite="classify",
-        parameters={
-            "params": " ".join(str(p) for p in groups),
-            "trials": trials,
-            "seed": seed,
-        },
-        trials=total + len(_CLASSIFY_EXAMPLES),
-        failures=failures,
-        notes=notes,
-    )
+    report.trials += len(_CLASSIFY_EXAMPLES)
+    return report
 
 
 def expected_relator_count(gog: GraphOfGroups) -> int:
@@ -549,12 +492,12 @@ def _gog_checks(gog: GraphOfGroups) -> list[tuple[str, str]]:
     return out
 
 
-def suite_gog(names: Sequence[str] | None = None, seed: int | str = 0) -> SuiteReport:
+def suite_gog(names: Sequence[str] = fixture_names(), seed: int | str = 0) -> SuiteReport:
     """Fundamental-group builder checks on the built-in fixtures: the
     relator-count formula, equality of raw and simplified
     abelianizations, and invariance of the abelianization under every
     collapse-to-one-edge move."""
-    names = list(names) if names is not None else list(fixture_names())
+    names = list(names)
 
     def trial(index: int, rng: random.Random) -> list[Problem]:
         name = names[index]
@@ -563,11 +506,5 @@ def suite_gog(names: Sequence[str] | None = None, seed: int | str = 0) -> SuiteR
             for expected, got in _gog_checks(load_fixture(name))
         ]
 
-    failures = _run_trials(len(names), seed, trial)
-    return SuiteReport(
-        suite="gog",
-        parameters={"fixtures": " ".join(names), "seed": seed},
-        trials=len(names),
-        failures=failures,
-        notes=["boundary maps are assumed injective; injectivity is not checked"],
-    )
+    notes = ["boundary maps are assumed injective; injectivity is not checked"]
+    return _run_trials("gog", {"fixtures": " ".join(names)}, seed, len(names), trial, notes)

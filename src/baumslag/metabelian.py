@@ -256,6 +256,38 @@ def parse_params(text: str) -> MetabelianParams:
     return MetabelianParams(*parse_pair(text, "G"))
 
 
+def _power_sum(terms: list[tuple[int, int]], base: int, den_bits: int) -> int:
+    """The sum of c * base^j over (j, c) in terms, j >= 0 and distinct,
+    by Horner's rule from the largest j.
+
+    Raises DomainError, before building the power, once the sum over a
+    denominator of den_bits bits has a numerator past MAX_EXPONENT_BITS:
+    with acc the sum so far in units of base^at and rest the sum of the
+    |c| still to come (all at j < at), the total is at least
+    base^(at - 1) * (base * |acc| - rest) in absolute value.
+    """
+    if base == 1:
+        return sum(c for _, c in terms)
+    terms = sorted(terms, reverse=True)
+    rest = sum(abs(c) for _, c in terms)
+    acc, at = 0, terms[0][0] if terms else 0
+    for j, c in terms + [(0, 0)]:
+        while acc and at > j:
+            decided = base * abs(acc) > rest
+            bits = (at - 1) * (base.bit_length() - 1) - den_bits + 1
+            if decided and bits > MAX_EXPONENT_BITS:
+                raise DomainError(
+                    f"word value needs a numerator of at least {bits} bits, above "
+                    f"the limit of {MAX_EXPONENT_BITS}"
+                )
+            # An undecided acc is at most rest; base^step > rest decides it.
+            step = at - j if decided else min(at - j, rest.bit_length() + 1)
+            acc *= base**step
+            at -= step
+        acc, at, rest = acc + c, j, rest - abs(c)
+    return acc
+
+
 def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
     """Evaluate a word over the alphabet (a, t) under a -> (1, 0),
     t -> (0, 1).
@@ -276,7 +308,11 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
     again: a sum e at p < 0 with m | e equals e * n/m at p + 1 (the pinch
     of Britton's lemma), and one at p > 0 with n | e equals e * m/n at
     p - 1.  Each carry lowers how often m (or n) divides e, so the
-    carries stop; a carried sum past the budget raises.
+    carries stop; a carried sum past the budget raises.  With m = 1
+    (n = 1) the denominator does not bound the negative (positive)
+    levels, whose terms are e * n^(-p) (e * m^p): over a long t-span the
+    numerator is summed in that one base by _power_sum, which refuses it
+    before a power past the budget is built.
     """
     sums: dict[int, int] = {}
     p = 0
@@ -309,8 +345,15 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
             f"word value needs a denominator of up to {bits} bits, above the "
             f"limit of {MAX_EXPONENT_BITS}"
         )
-    num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
-    value = _element(params, num, m ** bottom * n ** top, p)
+    den = m**bottom * n**top
+    if (bottom + top) * max(m, n).bit_length() > MAX_EXPONENT_BITS and min(m, n) == 1:
+        # With m = 1 (n = 1) the far levels are not bounded by the
+        # denominator: sum in base n (m), refusing before any big power.
+        terms = [(top - k if m == 1 else bottom + k, e) for k, e in sums.items()]
+        num = _power_sum(terms, max(m, n), den.bit_length())
+    else:
+        num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
+    value = _element(params, num, den, p)
     checked_exponent(value.x.numerator)
     return value
 

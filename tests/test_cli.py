@@ -150,6 +150,22 @@ def test_eval_over_numerator_budget_exits_3(capsys):
         assert err.startswith("error:") and "above the limit of 14000" in err
 
 
+def test_eval_far_power_over_one_base_exits_3(capsys):
+    # t^-N a t^N is a^(3^N) in G(1,3), and so is t^N a t^-N in G(3,1):
+    # refused before 3^N is built.  Their a t a^-3 variants are trivial.
+    far = 10**8
+    for group, word in (("G(1,3)", f"t^-{far} a t^{far}"),
+                        ("G(3,1)", f"t^{far} a t^-{far}")):
+        code, out, err = run(capsys, "eval", "--group", group, "--word", word)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "above the limit of 14000" in err
+    for group, word in (("G(1,3)", f"t^-{far} a t a^-3 t^{far - 1}"),
+                        ("G(3,1)", f"t^{far} a t^-1 a^-3 t^-{far - 1}")):
+        code, out, err = run(capsys, "eval", "--group", group, "--word", word)
+        assert code == 0, err
+        assert "element: (0, 0)" in out
+
+
 def test_classify_over_t_exponent_budget_exits_3(capsys):
     # (1, 1)^100000 needs 3^100000; (1, 10000000) needs 3^10000000.
     for elems in ("(1, 1); (1, 100000)", "(1, 10000000); (1, 1)"):

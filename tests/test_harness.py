@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from baumslag import harness
 from baumslag.errors import DomainError
 from baumslag.harness import (
+    NUM_BOUND,
+    POW_BOUND,
+    T_BOUND,
     SuiteReport,
     _run_trials,
     classify_fixed_examples,
@@ -28,10 +32,12 @@ def test_run_trials_order_is_stable_across_jobs():
         draw = str(rng.randint(0, 10**6))
         return [("p", draw, "no draw", "a draw")] if index % 3 == 0 else []
 
-    first = _run_trials(30, "s", trial)
-    assert first == _run_trials(30, "s", trial)
-    assert [r["trial"] for r in first] == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
-    assert _run_trials(0, "s", trial) == []
+    first = _run_trials("demo", {"k": 1}, "s", 30, trial, ["a note"])
+    assert first == _run_trials("demo", {"k": 1}, "s", 30, trial, ["a note"])
+    assert [r["trial"] for r in first.failures] == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
+    assert (first.suite, first.parameters, first.trials) == ("demo", {"k": 1, "seed": "s"}, 30)
+    assert first.notes == ["a note"]
+    assert _run_trials("demo", {}, "s", 0, trial).failures == []
 
 
 def test_failure_records_are_replayable():
@@ -42,7 +48,7 @@ def test_failure_records_are_replayable():
             return [("p", str(value), "value >= 20", "smaller")]
         return []
 
-    failures = _run_trials(50, 7, trial)
+    failures = _run_trials("demo", {}, 7, 50, trial).failures
     assert failures
     for record in failures:
         assert record["seed"] == f"7:{record['trial']}"
@@ -50,14 +56,20 @@ def test_failure_records_are_replayable():
         assert str(replay) == record["inputs"]
 
 
-def test_random_element_respects_bounds():
+def test_random_element_respects_bounds(monkeypatch):
+    # The module constants are the bounds: at their values, and at
+    # smaller ones patched in.
     rng = random.Random(12)
     params = MetabelianParams(2, 3)
-    for _ in range(200):
-        g = random_element(rng, params, t_bound=2, num_bound=5, pow_bound=1)
-        assert -2 <= g.p <= 2
-        assert abs(g.x) <= 5
-        assert g.x.denominator in (1, 2, 3, 6)
+    for t_bound, num_bound, pow_bound in ((T_BOUND, NUM_BOUND, POW_BOUND), (2, 5, 1)):
+        monkeypatch.setattr(harness, "T_BOUND", t_bound)
+        monkeypatch.setattr(harness, "NUM_BOUND", num_bound)
+        monkeypatch.setattr(harness, "POW_BOUND", pow_bound)
+        for _ in range(200):
+            g = random_element(rng, params)
+            assert -t_bound <= g.p <= t_bound
+            assert abs(g.x) <= num_bound
+            assert 6**pow_bound % g.x.denominator == 0
 
 
 def test_suite_ct_passes_and_is_deterministic():
@@ -95,10 +107,10 @@ def test_random_bs_word_length_bound():
 
 
 def test_suite_oracle_passes():
-    report = suite_oracle([2, 3, 5], trials=300, max_len=20, seed=11)
+    report = suite_oracle([2, 3, 5], trials=300, seed=11)
     assert report.verdict == "pass"
     assert report.trials == 900
-    again = suite_oracle([2, 3, 5], trials=300, max_len=20, seed=11)
+    again = suite_oracle([2, 3, 5], trials=300, seed=11)
     assert report.to_text() == again.to_text()
 
 

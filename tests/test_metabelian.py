@@ -273,6 +273,26 @@ def test_eval_word_carries_far_levels():
             assert eval_word(~shift * r * shift * v, params) == eval_word(v, params)
 
 
+def test_eval_word_sums_far_levels_in_one_base():
+    # G(1,3): a at t-exponent -N is 3^N, refused before the power is
+    # built; G(3,1) mirrors it at +N.  Terms that cancel still evaluate,
+    # and so do long alternating runs whose partial sums stay small.
+    far = 10**8
+    t, a = Word([(1, 1)]), Word([(0, 1)])
+    for params, s in ((MetabelianParams(1, 3), 1), (MetabelianParams(3, 1), -1)):
+        with pytest.raises(DomainError, match="above the limit of 14000"):
+            eval_word(t ** (-s * far) * a * t ** (s * far), params)
+        word = t ** (-s * far) * a * t ** s * a**-3 * t ** (s * (far - 1))
+        assert eval_word(word, params) == MetabelianElement(params, 0, 0)
+        # 3^J - 4 * 3^(J-1) + 4 * 3^(J-2) - ... = +-1: no level divides out.
+        levels = MAX_EXPONENT_BITS
+        letters = [(1, -s * levels), (0, 1)]
+        for i in range(levels):
+            letters += [(1, s), (0, 4 * (-1) ** (i + 1))]
+        value = eval_word(Word(letters), params)
+        assert value.p == 0 and abs(value.x) == 1
+
+
 def test_two_gen_classify_examples():
     r = two_gen_classify(elem(G23, Fraction(1, 2), 1), elem(G23, Fraction(1, 3), 1))
     assert r.kind == CONTAINS_METABELIAN
