@@ -257,8 +257,8 @@ def parse_params(text: str) -> MetabelianParams:
 
 
 def _power_sum(terms: list[tuple[int, int]], base: int, den_bits: int) -> int:
-    """The sum of c * base^j over (j, c) in terms, j >= 0 and distinct,
-    by Horner's rule from the largest j.
+    """The sum of c * base^j over (j, c) in terms, base >= 2 and the j
+    distinct and >= 0, by Horner's rule from the largest j.
 
     Raises DomainError, before building the power, once the sum over a
     denominator of den_bits bits has a numerator past MAX_EXPONENT_BITS:
@@ -266,8 +266,6 @@ def _power_sum(terms: list[tuple[int, int]], base: int, den_bits: int) -> int:
     |c| still to come (all at j < at), the total is at least
     base^(at - 1) * (base * |acc| - rest) in absolute value.
     """
-    if base == 1:
-        return sum(c for _, c in terms)
     terms = sorted(terms, reverse=True)
     rest = sum(abs(c) for _, c in terms)
     acc, at = 0, terms[0][0] if terms else 0
@@ -346,11 +344,11 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
             f"limit of {MAX_EXPONENT_BITS}"
         )
     den = m**bottom * n**top
-    if (bottom + top) * max(m, n).bit_length() > MAX_EXPONENT_BITS and min(m, n) == 1:
-        # With m = 1 (n = 1) the far levels are not bounded by the
-        # denominator: sum in base n (m), refusing before any big power.
+    base = max(m, n)
+    # Over a short t-span every power is small, and the plain sum is faster.
+    if min(m, n) == 1 < base and (bottom + top) * base.bit_length() > MAX_EXPONENT_BITS:
         terms = [(top - k if m == 1 else bottom + k, e) for k, e in sums.items()]
-        num = _power_sum(terms, max(m, n), den.bit_length())
+        num = _power_sum(terms, base, den.bit_length())
     else:
         num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
     value = _element(params, num, den, p)

@@ -282,6 +282,9 @@ def test_eval_word_sums_far_levels_in_one_base():
     for params, s in ((MetabelianParams(1, 3), 1), (MetabelianParams(3, 1), -1)):
         with pytest.raises(DomainError, match="above the limit of 14000"):
             eval_word(t ** (-s * far) * a * t ** (s * far), params)
+        # a^-5 at level 0 could cancel 3^j for small j only.
+        with pytest.raises(DomainError, match="above the limit of 14000"):
+            eval_word(t ** (-s * far) * a * t ** (s * far) * a**-5, params)
         word = t ** (-s * far) * a * t ** s * a**-3 * t ** (s * (far - 1))
         assert eval_word(word, params) == MetabelianElement(params, 0, 0)
         # 3^J - 4 * 3^(J-1) + 4 * 3^(J-2) - ... = +-1: no level divides out.
@@ -291,6 +294,36 @@ def test_eval_word_sums_far_levels_in_one_base():
             letters += [(1, s), (0, 4 * (-1) ** (i + 1))]
         value = eval_word(Word(letters), params)
         assert value.p == 0 and abs(value.x) == 1
+
+
+def test_eval_word_one_base_refusals_are_exact(monkeypatch):
+    # At a 60-bit budget, spans of a few hundred levels take the one-base
+    # sum: every value it returns is exact, and it refuses no value
+    # whose numerator fits.
+    from baumslag import metabelian, words
+
+    budget = 60
+    monkeypatch.setattr(metabelian, "MAX_EXPONENT_BITS", budget)
+    monkeypatch.setattr(words, "MAX_EXPONENT_BITS", budget)
+    rng = random.Random(1)
+    groups = ((1, 2), (1, 3), (2, 1), (3, 1), (1, 6), (6, 1), (1, 4))
+    for _ in range(3000):
+        m, n = rng.choice(groups)
+        letters = []
+        for _ in range(rng.randint(0, 8)):
+            letters += [(1, rng.randint(-40, 40)), (0, rng.choice((1, -1, 3, -4, 6, 9, 12)))]
+        x, p = Fraction(0), 0
+        for gen, e in letters:
+            if gen == 0:
+                x += e * Fraction(m, n) ** p
+            else:
+                p += e
+        try:
+            value = eval_word(Word(letters), MetabelianParams(m, n))
+        except DomainError as err:
+            assert x.numerator.bit_length() > budget or "denominator" in str(err)
+        else:
+            assert (value.x, value.p) == (x, p)
 
 
 def test_two_gen_classify_examples():
