@@ -27,8 +27,6 @@ from .graph_of_groups import (
     PiOnePresentation,
     SerreGraph,
     collapse_all_but_one,
-    dump,
-    dumps,
     essential_check,
     fundamental_presentation,
     load,
@@ -65,7 +63,7 @@ from .metabelian import (
     subgroup_params,
     two_gen_classify,
 )
-from .rationals import mn_member, parse_ratio
+from .rationals import mn_member
 from .words import Presentation, Word, WordParseError, format_word, parse_word
 
 __version__ = "0.1.0"

@@ -44,7 +44,6 @@ from .words import (
     Word,
     WordParseError,
     exponent_sums,
-    format_word,
     parse_word,
     substitute,
 )
@@ -112,10 +111,6 @@ class SerreGraph:
 
     def edge_pairs(self) -> tuple[str, ...]:
         return tuple(sorted({self.pair_key(e) for e in self.inv}))
-
-    def incident(self, v: str) -> tuple[str, ...]:
-        """Half-edges with origin v, in ascending id order."""
-        return tuple(self._incident.get(v, ()))
 
     def reach(
         self, root: str, follow: Callable[[str], bool] = lambda e: True
@@ -439,10 +434,6 @@ class CollapsedSplitting:
     kept_edge: str
     gog: GraphOfGroups
 
-    @property
-    def vertex_presentations(self) -> dict[str, Presentation]:
-        return dict(self.gog.vertex_groups)
-
 
 def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
     """Collapse each connected component of the graph minus the kept edge
@@ -710,47 +701,3 @@ def loads(text: str) -> GraphOfGroups:
 def load(path: str) -> GraphOfGroups:
     with open(path, "r", encoding="utf-8") as handle:
         return loads(handle.read())
-
-
-def dumps(gog: GraphOfGroups) -> str:
-    """Serialise back to the JSON document form (deterministic bytes)."""
-    g = gog.graph
-    vertices = {}
-    for v in g.vertices:
-        pres = gog.vertex_groups[v]
-        vertices[v] = {
-            "generators": list(pres.generators),
-            "relators": [format_word(r, pres.generators) for r in pres.relators],
-        }
-    edges = []
-    for pair in g.edge_pairs():
-        bar = g.inv[pair]
-        frm, to = g.origin[pair], g.origin[bar]
-        entry: dict[str, object] = {
-            "id": pair,
-            "from": frm,
-            "to": to,
-            "edge_generators": list(gog.edge_generators[pair]),
-            "alpha": [
-                format_word(w, gog.vertex_groups[frm].generators)
-                for w in gog.boundary[pair]
-            ],
-            "alpha_bar": [
-                format_word(w, gog.vertex_groups[to].generators)
-                for w in gog.boundary[bar]
-            ],
-        }
-        meta = {}
-        if pair in gog.index_meta:
-            meta["alpha"] = gog.index_meta[pair]
-        if bar in gog.index_meta:
-            meta["alpha_bar"] = gog.index_meta[bar]
-        if meta:
-            entry["index_meta"] = meta
-        edges.append(entry)
-    return json.dumps({"vertices": vertices, "edges": edges}, indent=2, sort_keys=True) + "\n"
-
-
-def dump(gog: GraphOfGroups, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(gog))

@@ -40,7 +40,7 @@ from math import gcd
 
 from .errors import DomainError
 from .rationals import mn_member
-from .words import MAX_EXPONENT_BITS, Word, checked_exponent, parse_pair
+from .words import MAX_EXPONENT_BITS, Word, parse_pair
 
 INSIDE_H = "inside_h"
 COMMENSURABLE_CYCLIC = "commensurable_cyclic"
@@ -256,34 +256,38 @@ def parse_params(text: str) -> MetabelianParams:
     return MetabelianParams(*parse_pair(text, "G"))
 
 
-def _power_sum(terms: list[tuple[int, int]], base: int, den_bits: int) -> int:
-    """The sum of c * base^j over (j, c) in terms, base >= 2 and the j
-    distinct and >= 0, by Horner's rule from the largest j.
+def _refuse(what: str, bits: int) -> None:
+    """DomainError when a word value needs a numerator or denominator of
+    at least ``bits`` bits, and that is past MAX_EXPONENT_BITS."""
+    if bits > MAX_EXPONENT_BITS:
+        raise DomainError(
+            f"word value needs a {what} of at least {bits} bits, above the "
+            f"limit of {MAX_EXPONENT_BITS}"
+        )
 
-    Raises DomainError, before building the power, once the sum over a
-    denominator of den_bits bits has a numerator past MAX_EXPONENT_BITS:
-    with acc the sum so far in units of base^at and rest the sum of the
-    |c| still to come (all at j < at), the total is at least
-    base^(at - 1) * (base * |acc| - rest) in absolute value.
+
+def _refuse_step(a: int, b: int, at: int, g: int, up: int, dn: int, rest: int) -> None:
+    """DomainError when a step of the walk in eval_word proves the word
+    value past the budget, decided before the step builds its powers.
+
+    The sum so far a/b (lowest terms, a != 0) sits at distance ``at``
+    from level 0, the step multiplies it by (up/dn)^g, and rest bounds
+    the sum of |e| over the terms still to come, level 0 and the other
+    side included.  The walk's denominator never shrinks, and the step
+    leaves it at least b * dn^g / |a|.  When up > dn, no term weighs
+    more than (up/dn)^k at distance k, so once |a/b| >= 2 * rest there
+    the value is at least (up/dn)^k * |a/b| / 2 and its numerator at
+    least (up/dn)^k * |a| / 2.  That is taken after the step when
+    dn = 1, where nothing cancels, and before it otherwise.
     """
-    terms = sorted(terms, reverse=True)
-    rest = sum(abs(c) for _, c in terms)
-    acc, at = 0, terms[0][0] if terms else 0
-    for j, c in terms + [(0, 0)]:
-        while acc and at > j:
-            decided = base * abs(acc) > rest
-            bits = (at - 1) * (base.bit_length() - 1) - den_bits + 1
-            if decided and bits > MAX_EXPONENT_BITS:
-                raise DomainError(
-                    f"word value needs a numerator of at least {bits} bits, above "
-                    f"the limit of {MAX_EXPONENT_BITS}"
-                )
-            # An undecided acc is at most rest; base^step > rest decides it.
-            step = at - j if decided else min(at - j, rest.bit_length() + 1)
-            acc *= base**step
-            at -= step
-        acc, at, rest = acc + c, j, rest - abs(c)
-    return acc
+    down = (dn - 1).bit_length()  # dn <= 2^down
+    _refuse("denominator", b.bit_length() + max(0, g * (dn.bit_length() - 1) - a.bit_length()))
+    if up > dn:
+        grow = up.bit_length() - 1 - down  # (up/dn)^k >= 2^(k * grow)
+        taken = g if dn == 1 else 0
+        lo = a.bit_length() - 1 + taken * grow  # |a| after the levels taken >= 2^lo
+        if lo > rest.bit_length() + b.bit_length():
+            _refuse("numerator", lo + (at - taken) * max(grow, 0))
 
 
 def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
@@ -292,25 +296,23 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
 
     By the group law, a syllable a^e read at running t-exponent p adds
     e * (m/n)^p to the kernel component, so the value is
-    (sum of e * (m/n)^p over the a-syllables, total t-exponent).  The
-    a-exponents are summed per running t-exponent p; with P+ (P-) the
-    largest positive (negative, in absolute value) such p, the kernel
-    component is the integer sum of e * m^(P- + p) * n^(P+ - p) over
-    m^(P-) * n^(P+).  For G(1, k) this is the isomorphism from BS(1, k),
-    the independent word-problem oracle.
+    (sum of e * (m/n)^p over the a-syllables, total t-exponent).  For
+    G(1, k) this is the isomorphism from BS(1, k), the independent
+    word-problem oracle.
 
-    Raises DomainError past MAX_EXPONENT_BITS bits: for the numerator in
-    lowest terms, and for that denominator before any power is built
-    ((m - 1).bit_length() is the least b with m <= 2^b).  Before refusing
-    a denominator, the sums are carried towards p = 0 and it is bounded
-    again: a sum e at p < 0 with m | e equals e * n/m at p + 1 (the pinch
-    of Britton's lemma), and one at p > 0 with n | e equals e * m/n at
-    p - 1.  Each carry lowers how often m (or n) divides e, so the
-    carries stop; a carried sum past the budget raises.  With m = 1
-    (n = 1) the denominator does not bound the negative (positive)
-    levels, whose terms are e * n^(-p) (e * m^p): over a long t-span the
-    numerator is summed in that one base by _power_sum, which refuses it
-    before a power past the budget is built.
+    The a-exponents are summed per level p, and each side of level 0 is
+    summed by Horner's rule from its outermost level inwards, in exact
+    integers: below 0 in steps of n/m, above 0 in steps of m/n.  The sum
+    so far a/b is kept in lowest terms; a step over g levels is
+    a * up^g / (b * dn^g), with gcd(a, dn^g) cancelled (the pinch of
+    Britton's lemma, applied to every level at once).  The two sides'
+    denominators are powers of m and of n, so the sum of both and of
+    level 0 is again in lowest terms.
+
+    Raises DomainError exactly when that value has a numerator or a
+    denominator of more than MAX_EXPONENT_BITS bits.  A step that could
+    build a power past the budget first goes through _refuse_step, which
+    decides in O(1) however many levels it spans.
     """
     sums: dict[int, int] = {}
     p = 0
@@ -322,38 +324,36 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
         else:
             raise ValueError("word must be over the two-letter alphabet (a, t)")
     m, n = params.m, params.n
-    for carried in (False, True):
-        top = max(0, max(sums, default=0))
-        bottom = max(0, -min(sums, default=0))
-        bits = bottom * (m - 1).bit_length() + top * (n - 1).bit_length()
-        if bits <= MAX_EXPONENT_BITS or carried:
-            break
-        # Carry towards level 0; the value stays.  A carry that reaches a
-        # level takes that level's sum along, so the order does not matter.
-        for level in list(sums):
-            e = sums.pop(level, 0)  # 0 once a carry from further out took it
-            divisor, factor, step = (m, n, 1) if level < 0 else (n, m, -1)
-            while divisor > 1 and e and e % divisor == 0 and level:
-                e, level = checked_exponent(e // divisor * factor), level + step
-                e += sums.pop(level, 0)
-            if e:
-                sums[level] = e
-    if bits > MAX_EXPONENT_BITS:
-        raise DomainError(
-            f"word value needs a denominator of up to {bits} bits, above the "
-            f"limit of {MAX_EXPONENT_BITS}"
-        )
-    den = m**bottom * n**top
-    base = max(m, n)
-    # Over a short t-span every power is small, and the plain sum is faster.
-    if min(m, n) == 1 < base and (bottom + top) * base.bit_length() > MAX_EXPONENT_BITS:
-        terms = [(top - k if m == 1 else bottom + k, e) for k, e in sums.items()]
-        num = _power_sum(terms, base, den.bit_length())
-    else:
-        num = sum(e * m ** (bottom + k) * n ** (top - k) for k, e in sums.items())
-    value = _element(params, num, den, p)
-    checked_exponent(value.x.numerator)
-    return value
+    width = max(m, n).bit_length()
+    rest = 0  # the sum of every |e|, taken when a step first needs it
+    num, den = sums.get(0, 0), 1
+    levels = sorted(sums)
+    for up, dn, side in (
+        (n, m, [(-k, sums[k]) for k in levels if k < 0]),
+        (m, n, [(k, sums[k]) for k in reversed(levels) if k > 0]),
+    ):
+        if not side:
+            continue
+        side.append((0, 0))
+        a, b, at = 0, 1, 0
+        for d, e in side:
+            g = at - d
+            if not a:
+                b = 1
+            else:
+                # A step that builds only powers within the budget is taken.
+                if g * width + a.bit_length() + b.bit_length() > MAX_EXPONENT_BITS:
+                    rest = rest or sum(map(abs, sums.values()))
+                    _refuse_step(a, b, at, g, up, dn, rest)
+                power = dn**g
+                c = gcd(a, power)
+                a, b = a // c * up**g, b * (power // c)
+            a += e * b
+            at = d
+        num, den = num * b + a * den, den * b
+    _refuse("numerator", num.bit_length())
+    _refuse("denominator", den.bit_length())
+    return _element(params, num, den, p)
 
 
 def centralizer_sample(g: MetabelianElement, q: int) -> MetabelianElement | None:

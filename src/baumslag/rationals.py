@@ -33,13 +33,3 @@ def mn_member(r: Fraction, m: int, n: int) -> bool:
             break
         den //= g
     return den == 1
-
-
-def parse_ratio(text: str) -> Fraction:
-    """Parse ``num`` or ``num/den`` (optional leading sign, den nonzero)."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
-    except ValueError:
-        raise ValueError(f"malformed rational {text!r}") from None

@@ -150,6 +150,17 @@ def test_eval_over_numerator_budget_exits_3(capsys):
         assert err.startswith("error:") and "above the limit of 14000" in err
 
 
+def test_eval_budget_is_the_value_in_lowest_terms(capsys):
+    # 1/2^14000 has a 14 001-bit denominator, one bit over the budget.
+    code, out, err = run(capsys, "eval", "--group", "G(1,2)", "--word", "t^14000 a t^-14000")
+    assert (code, out) == (3, "")
+    assert "denominator" in err and "above the limit of 14000" in err
+    # (4/9)^4000 needs 12 680 bits below the line and 8 001 above it.
+    code, out, err = run(capsys, "eval", "--group", "G(4,9)", "--word", "t^4000 a t^-4000")
+    assert code == 0, err
+    assert f"element: ({4**4000}/{9**4000}, 0)" in out
+
+
 def test_eval_far_power_over_one_base_exits_3(capsys):
     # t^-N a t^N is a^(3^N) in G(1,3), and so is t^N a t^-N in G(3,1):
     # refused before 3^N is built.  Their a t a^-3 variants are trivial.

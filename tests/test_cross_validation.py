@@ -26,7 +26,7 @@ def all_spanning_trees(graph):
         queue = [graph.vertices[0]]
         while queue:
             v = queue.pop(0)
-            for e in graph.incident(v):
+            for e in sorted(e for e in graph.origin if graph.origin[e] == v):
                 if graph.pair_key(e) in chosen and graph.terminus(e) not in seen:
                     seen.add(graph.terminus(e))
                     queue.append(graph.terminus(e))

@@ -296,34 +296,43 @@ def test_eval_word_sums_far_levels_in_one_base():
         assert value.p == 0 and abs(value.x) == 1
 
 
-def test_eval_word_one_base_refusals_are_exact(monkeypatch):
-    # At a 60-bit budget, spans of a few hundred levels take the one-base
-    # sum: every value it returns is exact, and it refuses no value
-    # whose numerator fits.
+def test_eval_word_refusals_are_exact(monkeypatch):
+    # At a 60-bit budget, spans of a few hundred levels pass the budget in
+    # one-base, two-base and abelian groups alike: eval_word refuses
+    # exactly the words whose value has a numerator or a denominator over
+    # it, and every value it returns is exact.
     from baumslag import metabelian, words
 
     budget = 60
     monkeypatch.setattr(metabelian, "MAX_EXPONENT_BITS", budget)
     monkeypatch.setattr(words, "MAX_EXPONENT_BITS", budget)
     rng = random.Random(1)
-    groups = ((1, 2), (1, 3), (2, 1), (3, 1), (1, 6), (6, 1), (1, 4))
-    for _ in range(3000):
+    groups = (
+        (1, 2), (1, 3), (2, 1), (3, 1), (1, 6), (6, 1), (1, 4),
+        (2, 3), (3, 2), (4, 9), (9, 4), (4, 3), (6, 5), (1, 1),
+    )
+    refused = 0
+    for _ in range(6000):
         m, n = rng.choice(groups)
+        exps = (1, -1, 3, -4, 6, 9, 12, m**3, -(n**2), m * n)
         letters = []
         for _ in range(rng.randint(0, 8)):
-            letters += [(1, rng.randint(-40, 40)), (0, rng.choice((1, -1, 3, -4, 6, 9, 12)))]
+            letters += [(1, rng.randint(-40, 40)), (0, rng.choice(exps))]
         x, p = Fraction(0), 0
         for gen, e in letters:
             if gen == 0:
                 x += e * Fraction(m, n) ** p
             else:
                 p += e
+        over = max(x.numerator.bit_length(), x.denominator.bit_length()) > budget
         try:
             value = eval_word(Word(letters), MetabelianParams(m, n))
         except DomainError as err:
-            assert x.numerator.bit_length() > budget or "denominator" in str(err)
+            refused += 1
+            assert over, (m, n, letters, str(err))
         else:
-            assert (value.x, value.p) == (x, p)
+            assert not over and (value.x, value.p) == (x, p), (m, n, letters)
+    assert 0 < refused < 6000
 
 
 def test_two_gen_classify_examples():

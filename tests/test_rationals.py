@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from baumslag.errors import DomainError
-from baumslag.rationals import mn_member, parse_ratio
+from baumslag.metabelian import MetabelianParams, parse_element
+from baumslag.rationals import mn_member
 
 
 def random_ratio(rng):
@@ -88,13 +89,12 @@ def test_mn_member_closure():
 
 
 def test_parse_and_format():
-    assert parse_ratio("5/6") == Fraction(5, 6)
-    assert parse_ratio("-5/6") == Fraction(-5, 6)
-    assert parse_ratio("+7") == Fraction(7)
-    assert str(Fraction(5, 6)) == "5/6"
-    assert str(Fraction(7)) == "7"
-    assert str(Fraction(-1, 2)) == "-1/2"
-    with pytest.raises(ValueError):
-        parse_ratio("1/0")
-    with pytest.raises(ValueError):
-        parse_ratio("one half")
+    # Rationals enter through the element parser and leave through str.
+    g23 = MetabelianParams(2, 3)
+    for text, value in (("5/6", Fraction(5, 6)), ("-5/6", Fraction(-5, 6)), ("7", Fraction(7))):
+        element = parse_element(f"({text}, 1)", g23)
+        assert element.x == value and str(element) == f"({text}, 1)"
+    assert str(parse_element("(-2/4, 0)", g23)) == "(-1/2, 0)"
+    for text in ("(1/0, 0)", "(one half, 0)", "(+7, 0)"):
+        with pytest.raises(ValueError):
+            parse_element(text, g23)
