@@ -338,16 +338,18 @@ def eval_word(word: Word, params: MetabelianParams) -> MetabelianElement:
         a, b, at = 0, 1, 0
         for d, e in side:
             g = at - d
-            if not a:
-                b = 1
-            else:
+            # A zero sum is 0/1 (an integer added to a/b with b > 1 is never
+            # 0), and no step moves it.
+            if a:
                 # A step that builds only powers within the budget is taken.
                 if g * width + a.bit_length() + b.bit_length() > MAX_EXPONENT_BITS:
                     rest = rest or sum(map(abs, sums.values()))
                     _refuse_step(a, b, at, g, up, dn, rest)
-                power = dn**g
-                c = gcd(a, power)
-                a, b = a // c * up**g, b * (power // c)
+                a *= up**g
+                if dn > 1:
+                    power = dn**g
+                    c = gcd(a, power)
+                    a, b = a // c, b * (power // c)
             a += e * b
             at = d
         num, den = num * b + a * den, den * b

@@ -300,39 +300,58 @@ def test_eval_word_refusals_are_exact(monkeypatch):
     # At a 60-bit budget, spans of a few hundred levels pass the budget in
     # one-base, two-base and abelian groups alike: eval_word refuses
     # exactly the words whose value has a numerator or a denominator over
-    # it, and every value it returns is exact.
+    # it, and every value it returns is exact.  Half the words hold
+    # trivial relator products moved far out, so that large level sums
+    # cancel after steps that are checked against the budget.
     from baumslag import metabelian, words
 
     budget = 60
     monkeypatch.setattr(metabelian, "MAX_EXPONENT_BITS", budget)
     monkeypatch.setattr(words, "MAX_EXPONENT_BITS", budget)
     rng = random.Random(1)
+    t, a = Word([(1, 1)]), Word([(0, 1)])
     groups = (
         (1, 2), (1, 3), (2, 1), (3, 1), (1, 6), (6, 1), (1, 4),
         (2, 3), (3, 2), (4, 9), (9, 4), (4, 3), (6, 5), (1, 1),
     )
+    # 3^80 - 3^37 * 3^43 = 0, though a step of 37 levels passes the budget.
+    cases = [
+        (MetabelianParams(1, 3), t**-80 * a * t**37 * a ** -(3**37) * t**43),
+        (MetabelianParams(3, 1), t**80 * a * t**-37 * a ** -(3**37) * t**-43),
+    ]
     refused = 0
     for _ in range(6000):
         m, n = rng.choice(groups)
-        exps = (1, -1, 3, -4, 6, 9, 12, m**3, -(n**2), m * n)
-        letters = []
-        for _ in range(rng.randint(0, 8)):
-            letters += [(1, rng.randint(-40, 40)), (0, rng.choice(exps))]
+        word = Word()
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.5:
+                e = rng.choice((1, -1, 3, -4, 6, 9, 12, m**3, -(n**2), m * n))
+                word = word * t ** rng.randint(-40, 40) * a**e
+                continue
+            r = Word()
+            for _ in range(rng.randint(1, 3)):
+                c = rng.choice((1, -1)) * rng.randint(1, 3)
+                g = t ** rng.randint(-3, 3) * a ** rng.randint(-2, 2)
+                r = r * g * t**-1 * a ** (m * c) * t * a ** (-n * c) * ~g
+            shift = t ** rng.randint(-3 * budget, 3 * budget)
+            word = word * ~shift * r * a ** rng.choice((0, 0, 1, m, n)) * shift
+        cases.append((MetabelianParams(m, n), word))
+    for params, word in cases:
         x, p = Fraction(0), 0
-        for gen, e in letters:
+        for gen, e in word.letters:
             if gen == 0:
-                x += e * Fraction(m, n) ** p
+                x += e * params.ratio**p
             else:
                 p += e
         over = max(x.numerator.bit_length(), x.denominator.bit_length()) > budget
         try:
-            value = eval_word(Word(letters), MetabelianParams(m, n))
+            value = eval_word(word, params)
         except DomainError as err:
             refused += 1
-            assert over, (m, n, letters, str(err))
+            assert over, (params, word.letters, str(err))
         else:
-            assert not over and (value.x, value.p) == (x, p), (m, n, letters)
-    assert 0 < refused < 6000
+            assert not over and (value.x, value.p) == (x, p), (params, word.letters)
+    assert 0 < refused < len(cases)
 
 
 def test_two_gen_classify_examples():
