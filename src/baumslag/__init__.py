@@ -19,15 +19,12 @@ from .errors import DomainError
 from .fixtures import fixture_names, fixture_text, load_fixture
 from .graph_of_groups import (
     CollapsedSplitting,
-    EdgeEndVerdict,
-    EssentialReport,
     GogFileError,
     GogValidationError,
     GraphOfGroups,
     PiOnePresentation,
     SerreGraph,
     collapse_all_but_one,
-    essential_check,
     fundamental_presentation,
     load,
     loads,
@@ -58,7 +55,6 @@ from .metabelian import (
     malnormality_violation_witness,
     parse_element,
     parse_params,
-    phi_pow,
     power_conjugacy_witness,
     subgroup_params,
     two_gen_classify,

@@ -97,7 +97,8 @@ FIXTURES: dict[str, str] = {
   ]
 }
 """,
-    # Opaque (rank-2) vertex group: indices undecidable here, declared infinite.
+    # HNN loop over the rank-2 free abelian group: e^-1 x e = y.  Reports
+    # and golden entries print the name, so it stays as it is.
     "declared_infinite_loop": """\
 {
   "vertices": {
@@ -105,8 +106,7 @@ FIXTURES: dict[str, str] = {
   },
   "edges": [
     {"id": "e", "from": "v", "to": "v",
-     "edge_generators": ["c"], "alpha": ["x"], "alpha_bar": ["y"],
-     "index_meta": {"alpha": "infinite", "alpha_bar": "infinite"}}
+     "edge_generators": ["c"], "alpha": ["x"], "alpha_bar": ["y"]}
   ]
 }
 """,

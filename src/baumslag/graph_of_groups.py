@@ -18,13 +18,12 @@ edge generator g.  A Tietze-simplified companion eliminates the inverse
 letters (inv(e) = e^-1) and the tree letters.
 
 Injectivity of the boundary maps is an *assumption*, not checked
-(undecidable in general), as is infinite index of edge groups except in
-the decidable case of a rank-1 free vertex group; see
-``essential_check``.
+(undecidable in general), and the index of edge groups is not checked.
 
 File format: a JSON document with a ``vertices`` object (id ->
 {generators, relators}) and an ``edges`` list ({id, from, to,
-edge_generators, alpha, alpha_bar, index_meta}); loops are allowed.
+edge_generators, alpha, alpha_bar}); loops are allowed.  Keys outside
+these are ignored.
 The reverse half-edge of edge ``id`` is named ``id_bar``.  Schema
 violations raise GogFileError with the JSON path of the offending field.
 """
@@ -34,7 +33,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -43,7 +41,6 @@ from .words import (
     Presentation,
     Word,
     WordParseError,
-    exponent_sums,
     parse_word,
     substitute,
 )
@@ -147,8 +144,7 @@ def spanning_tree(graph: SerreGraph) -> frozenset[str]:
 
 class GraphOfGroups:
     """A Serre graph with vertex presentations, edge generator lists
-    (shared by the two half-edges of a pair), boundary words, and
-    optional declared edge-group index metadata."""
+    (shared by the two half-edges of a pair) and boundary words."""
 
     def __init__(
         self,
@@ -156,13 +152,11 @@ class GraphOfGroups:
         vertex_groups: Mapping[str, Presentation],
         edge_generators: Mapping[str, tuple[str, ...]],
         boundary: Mapping[str, tuple[Word, ...]],
-        index_meta: Mapping[str, object] | None = None,
     ):
         self.graph = graph
         self.vertex_groups = dict(vertex_groups)
         self.edge_generators = {k: tuple(v) for k, v in edge_generators.items()}
         self.boundary = {k: tuple(v) for k, v in boundary.items()}
-        self.index_meta = dict(index_meta or {})
 
 
 def validate(gog: GraphOfGroups) -> list[str]:
@@ -510,74 +504,8 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
         presentations,
         {keep: gog.edge_generators[keep]},
         {keep: rewrite(keep), keep_bar: rewrite(keep_bar)},
-        {
-            e: gog.index_meta[e]
-            for e in (keep, keep_bar)
-            if e in gog.index_meta
-        },
     )
     return CollapsedSplitting(kind=kind, kept_edge=keep, gog=new_gog)
-
-
-@dataclass(frozen=True)
-class EdgeEndVerdict:
-    half_edge: str
-    kind: str  # "finite", "infinite", or "unknown"
-    index: int | None
-    source: str  # "computed" or "declared"
-
-
-@dataclass(frozen=True)
-class EssentialReport:
-    """Per-half-edge index verdicts; the splitting counts as essential
-    only when every edge end has infinite index (computed or declared)."""
-
-    entries: tuple[EdgeEndVerdict, ...]
-    essential: bool
-
-
-def _parse_meta(value: object) -> tuple[str, int | None]:
-    if value == "infinite":
-        return "infinite", None
-    if value == "unknown" or value is None:
-        return "unknown", None
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
-        return "finite", value
-    raise ValueError(f"invalid index declaration {value!r}")
-
-
-def essential_check(
-    gog: GraphOfGroups, meta: Mapping[str, object] | None = None
-) -> EssentialReport:
-    """Decide the index of each boundary image where possible.
-
-    When the origin vertex group is free of rank 1 (one generator, no
-    relators) the image subgroup of Z is generated by the gcd of the
-    boundary exponent sums, so its index is computed exactly; for every
-    other vertex group the declared metadata is echoed.
-    """
-    _require_valid(gog)
-    g = gog.graph
-    declared = dict(gog.index_meta)
-    if meta is not None:
-        declared.update(meta)
-    entries = []
-    for e in g.half_edges:
-        pres = gog.vertex_groups[g.origin[e]]
-        if len(pres.generators) == 1 and not pres.relators:
-            sums = [exponent_sums(w, 1)[0] for w in gog.boundary[e]]
-            d = 0
-            for s in sums:
-                d = gcd(d, s)
-            if d == 0:
-                entries.append(EdgeEndVerdict(e, "infinite", None, "computed"))
-            else:
-                entries.append(EdgeEndVerdict(e, "finite", d, "computed"))
-        else:
-            kind, index = _parse_meta(declared.get(e))
-            entries.append(EdgeEndVerdict(e, kind, index, "declared"))
-    essential = all(v.kind == "infinite" for v in entries)
-    return EssentialReport(entries=tuple(entries), essential=essential)
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +515,6 @@ def essential_check(
 def _expect(condition: bool, message: str, path: str) -> None:
     if not condition:
         raise GogFileError(message, path)
-
-
-_META_KEYS = ("alpha", "alpha_bar")
 
 
 def _strings(body: dict, key: str, path: str) -> list:
@@ -646,7 +571,6 @@ def loads(text: str) -> GraphOfGroups:
     edge_triples: list[tuple[str, str, str]] = []
     edge_generators: dict[str, tuple[str, ...]] = {}
     boundary: dict[str, tuple[Word, ...]] = {}
-    index_meta: dict[str, object] = {}
     seen_ids: set[str] = set()
     for idx, entry in enumerate(doc["edges"]):
         path = f"edges[{idx}]"
@@ -680,22 +604,13 @@ def loads(text: str) -> GraphOfGroups:
             )
             alphabet = vertex_groups[entry[vertex_field]].generators
             words[side] = _words(texts, alphabet, f"{path}.{side}")
-        meta = entry.get("index_meta", {})
-        _expect(isinstance(meta, dict), "'index_meta' must be an object", f"{path}.index_meta")
-        for key, value in meta.items():
-            _expect(key in _META_KEYS, f"unknown index_meta key {key!r}", f"{path}.index_meta")
-            try:
-                _parse_meta(value)
-            except ValueError as err:
-                raise GogFileError(str(err), f"{path}.index_meta.{key}") from None
-            index_meta[eid if key == "alpha" else bar] = value
         edge_triples.append((eid, entry["from"], entry["to"]))
         edge_generators[min(eid, bar)] = tuple(gens)
         boundary[eid] = tuple(words["alpha"])
         boundary[bar] = tuple(words["alpha_bar"])
 
     graph = SerreGraph.from_edges(list(doc["vertices"]), edge_triples)
-    return GraphOfGroups(graph, vertex_groups, edge_generators, boundary, index_meta)
+    return GraphOfGroups(graph, vertex_groups, edge_generators, boundary)
 
 
 def load(path: str) -> GraphOfGroups:

@@ -77,30 +77,29 @@ def _t_power(params: MetabelianParams, k: int) -> tuple[int, int]:
     """(up, down) with (m/n)^k = up/down: the t-action written once.
 
     Both are powers of m or n, so applying it to a member of Z[1/mn]
-    keeps the denominator a product of powers of m and n.  Raises
-    DomainError, before building them, when they may pass
-    MAX_EXPONENT_BITS bits: (b - 1).bit_length() is the least c with
-    b <= 2^c, and (m - 1) | (n - 1) has the bit length of max(m, n) - 1.
+    keeps the denominator a product of powers of m and n.  No t-action
+    power of more than MAX_EXPONENT_BITS bits is kept: DomainError is
+    raised exactly when max(m, n)^|k| has more bits than that.  With w
+    the bit length of max(m, n) (which is that of m | n), the power has
+    between |k|(w - 1) + 1 and |k|w bits, so it is taken at once when
+    |k|w is within the budget, refused before it is built when
+    |k|(w - 1) + 1 is over it, and otherwise measured exactly.
     """
-    bits = abs(k) * ((params.m - 1) | (params.n - 1)).bit_length()
-    if bits > MAX_EXPONENT_BITS:
-        raise DomainError(
-            f"t-exponent {k} needs powers of up to {bits} bits, above the "
-            f"limit of {MAX_EXPONENT_BITS}"
-        )
+    m, n = params.m, params.n
+    size = abs(k)
+    w = (m | n).bit_length()
+    if size * w > MAX_EXPONENT_BITS:
+        bits = size * (w - 1) + 1
+        if bits <= MAX_EXPONENT_BITS:
+            bits = (max(m, n) ** size).bit_length()
+        if bits > MAX_EXPONENT_BITS:
+            raise DomainError(
+                f"t-exponent {k} needs a power of at least {bits} bits, above "
+                f"the limit of {MAX_EXPONENT_BITS}"
+            )
     if k >= 0:
-        return params.m ** k, params.n ** k
-    return params.n ** -k, params.m ** -k
-
-
-def phi_pow(params: MetabelianParams, x: Fraction, k: int) -> Fraction:
-    """Apply the t-action k times: x -> x * (m/n)^k.
-
-    Z[1/mn] is closed under this map in both directions, so the result
-    of a valid input stays in the coefficient ring.
-    """
-    up, down = _t_power(params, k)
-    return Fraction(x.numerator * up, x.denominator * down)
+        return m ** k, n ** k
+    return n ** -k, m ** -k
 
 
 def _element(params: MetabelianParams, num: int, den: int, p: int) -> "MetabelianElement":

@@ -335,9 +335,6 @@ class Presentation:
                 if not 0 <= gen < n:
                     raise ValueError(f"relator uses undeclared generator index {gen}")
 
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generators)
-
     def format(self) -> str:
         gens = ", ".join(self.generators)
         rels = ", ".join(format_word(r, self.generators) for r in self.relators)

@@ -185,6 +185,19 @@ def test_classify_over_t_exponent_budget_exits_3(capsys):
         assert err.startswith("error:") and "above the limit of 14000" in err
 
 
+def test_classify_t_exponent_budget_is_exact(capsys):
+    # 9^3501 has 11 098 bits, within the budget, though 3501 times the
+    # bit length of 9 is 14 004.  2^13999 has 14 000 bits, 2^14000 one more.
+    code, out, err = run(capsys, "classify", "--group", "G(4,9)", "--elems", "(1, 3501);(0, 1)")
+    assert code == 0, err
+    assert "d = g1^1 * g2^-3501: (1, 0)" in out
+    code, out, err = run(capsys, "classify", "--group", "G(1,2)", "--elems", "(1, 1);(0, -13999)")
+    assert code == 0, err
+    code, out, err = run(capsys, "classify", "--group", "G(1,2)", "--elems", "(1, 1);(0, -14000)")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "14001 bits, above the limit of 14000" in err
+
+
 def test_eval_requires_g_family(capsys):
     code, _, err = run(capsys, "eval", "--group", "BS(1,2)", "--word", "a")
     assert code == 2

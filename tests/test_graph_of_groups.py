@@ -13,7 +13,6 @@ from baumslag.graph_of_groups import (
     SerreGraph,
     _cyclic_key,
     collapse_all_but_one,
-    essential_check,
     fundamental_presentation,
     loads,
     spanning_tree,
@@ -225,40 +224,10 @@ def test_collapse_unknown_edge():
         collapse_all_but_one(load_fixture("z2_loop"), "nope")
 
 
-def test_essential_check_computed_indices():
-    report = essential_check(single_loop_gog(3, 3))
-    kinds = {v.half_edge: (v.kind, v.index, v.source) for v in report.entries}
-    assert kinds["e"] == ("finite", 3, "computed")
-    assert kinds["e_bar"] == ("finite", 3, "computed")
-    assert not report.essential
-
-    report = essential_check(single_loop_gog(1, 1))
-    assert {v.index for v in report.entries} == {1}
-
-    # Trivial edge group has infinite index in Z.
-    graph = SerreGraph.from_edges(["v"], [("e", "v", "v")])
-    gog = GraphOfGroups(graph, {"v": z_vertex()}, {"e": ()}, {"e": (), "e_bar": ()})
-    report = essential_check(gog)
-    assert report.essential
-
-
-def test_essential_check_declared_metadata():
-    gog = load_fixture("declared_infinite_loop")
-    report = essential_check(gog)
-    assert all(v.kind == "infinite" and v.source == "declared" for v in report.entries)
-    assert report.essential
-
-    # Override metadata downgrades the verdict.
-    report = essential_check(gog, {"e": "unknown"})
-    kinds = {v.half_edge: v.kind for v in report.entries}
-    assert kinds["e"] == "unknown"
-    assert not report.essential
-
-
 def assert_loaded_as_written(gog, doc):
     """gog holds exactly the objects of its JSON document: each vertex
-    presentation, edge, boundary word and index declaration, with every
-    word formatted back to the text the document gives for it."""
+    presentation, edge and boundary word, with every word formatted back
+    to the text the document gives for it."""
     graph = gog.graph
     assert graph.vertices == tuple(sorted(doc["vertices"]))
     for v, body in doc["vertices"].items():
@@ -271,11 +240,9 @@ def assert_loaded_as_written(gog, doc):
         e, bar = entry["id"], entry["id"] + "_bar"
         assert (graph.inv[e], graph.origin[e], graph.origin[bar]) == (bar, entry["from"], entry["to"])
         assert gog.edge_generators[e] == tuple(entry["edge_generators"])
-        meta = entry.get("index_meta", {})
         for half, key, v in ((e, "alpha", entry["from"]), (bar, "alpha_bar", entry["to"])):
             gens = gog.vertex_groups[v].generators
             assert [format_word(w, gens) for w in gog.boundary[half]] == entry[key]
-            assert gog.index_meta.get(half) == meta.get(key)
 
 
 def test_load_fixture_round_trip():
@@ -283,6 +250,16 @@ def test_load_fixture_round_trip():
         gog = loads(fixture_text(name))
         assert_loaded_as_written(gog, json.loads(fixture_text(name)))
         assert validate(gog) == []
+
+
+def test_loads_ignores_unknown_keys():
+    # Documents written for older readers, which took an index_meta object
+    # per edge, still load, whatever that object holds.
+    doc = json.loads(fixture_text("declared_infinite_loop"))
+    doc["edges"][0]["index_meta"] = {"alpha": "sometimes", "beta": True}
+    doc["vertices"]["v"]["note"] = 1
+    doc["version"] = 2
+    assert_loaded_as_written(loads(json.dumps(doc)), doc)
 
 
 @pytest.mark.parametrize("names", [[""], ["x'"], ["a", "a"]])
@@ -325,18 +302,6 @@ def test_loads_schema_errors_carry_paths():
         loads(json.dumps(doc))
     assert info.value.path == "vertices.v.relators[0]"
 
-    doc = json.loads(fixture_text("z2_loop"))
-    doc["edges"][0]["index_meta"] = {"alpha": "sometimes"}
-    with pytest.raises(GogFileError) as info:
-        loads(json.dumps(doc))
-    assert info.value.path == "edges[0].index_meta.alpha"
-
-    # Booleans are not valid indices even though bool subclasses int.
-    doc = json.loads(fixture_text("z2_loop"))
-    doc["edges"][0]["index_meta"] = {"alpha": True}
-    with pytest.raises(GogFileError):
-        loads(json.dumps(doc))
-
 
 def test_loads_duplicate_edge_id():
     doc = json.loads(fixture_text("two_loops"))
@@ -344,11 +309,6 @@ def test_loads_duplicate_edge_id():
     with pytest.raises(GogFileError) as info:
         loads(json.dumps(doc))
     assert info.value.path == "edges[1].id"
-
-
-def test_index_meta_survives_round_trip():
-    gog = loads(fixture_text("declared_infinite_loop"))
-    assert gog.index_meta == {"e": "infinite", "e_bar": "infinite"}
 
 
 def _letter_key(w):

@@ -17,7 +17,6 @@ from baumslag.metabelian import (
     malnormality_violation_witness,
     parse_element,
     parse_params,
-    phi_pow,
     power_conjugacy_witness,
     subgroup_params,
     two_gen_classify,
@@ -57,18 +56,26 @@ def test_element_requires_ring_membership():
         elem(G23, Fraction(1, 5), 0)
 
 
-def test_phi_pow_examples():
-    assert phi_pow(G23, Fraction(1), 1) == Fraction(2, 3)
-    assert phi_pow(G23, Fraction(7, 6), 0) == Fraction(7, 6)
-    assert phi_pow(G23, Fraction(3), -1) == Fraction(9, 2)
+def t_conjugate(params, x, k):
+    """t^k (x, 0) t^-k, which is (x * (m/n)^k, 0)."""
+    t_k = elem(params, 0, k)
+    return t_k * elem(params, x, 0) * t_k.inverse()
 
 
-def test_phi_pow_preserves_membership():
+def test_t_conjugation_examples():
+    assert t_conjugate(G23, 1, 1) == elem(G23, Fraction(2, 3), 0)
+    assert t_conjugate(G23, Fraction(7, 6), 0) == elem(G23, Fraction(7, 6), 0)
+    assert t_conjugate(G23, 3, -1) == elem(G23, Fraction(9, 2), 0)
+
+
+def test_t_conjugation_preserves_membership():
     rng = random.Random(11)
     for _ in range(500):
         g = random_element(rng, G23)
         k = rng.randint(-5, 5)
-        assert mn_member(phi_pow(G23, g.x, k), 2, 3)
+        h = t_conjugate(G23, g.x, k)
+        assert h.p == 0 and h.x == g.x * Fraction(2, 3) ** k
+        assert mn_member(h.x, 2, 3)
 
 
 def test_mul_examples():
@@ -352,6 +359,32 @@ def test_eval_word_refusals_are_exact(monkeypatch):
         else:
             assert not over and (value.x, value.p) == (x, p), (params, word.letters)
     assert 0 < refused < len(cases)
+
+
+def test_t_power_refusals_are_exact(monkeypatch):
+    # At a 60-bit budget, _t_power refuses exactly the t-exponents k for
+    # which max(m, n)^|k| has more than 60 bits, in one-base, two-base
+    # and power-of-2 groups, and returns the exact powers otherwise.
+    from baumslag import metabelian
+
+    budget = 60
+    monkeypatch.setattr(metabelian, "MAX_EXPONENT_BITS", budget)
+    groups = ((1, 2), (3, 1), (1, 7), (1, 8), (8, 1), (1, 16), (2, 3), (4, 9),
+              (9, 4), (7, 8), (5, 16), (31, 32), (1, 1))
+    refused = 0
+    for m, n in groups:
+        params = MetabelianParams(m, n)
+        for k in range(-70, 71):
+            over = (max(m, n) ** abs(k)).bit_length() > budget
+            try:
+                up, down = metabelian._t_power(params, k)
+            except DomainError:
+                refused += 1
+                assert over, (m, n, k)
+            else:
+                assert not over, (m, n, k)
+                assert (up, down) == ((m ** k, n ** k) if k >= 0 else (n ** -k, m ** -k))
+    assert 0 < refused
 
 
 def test_two_gen_classify_examples():
