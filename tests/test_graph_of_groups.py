@@ -26,14 +26,10 @@ def z_vertex(name="a"):
     return Presentation((name,), ())
 
 
-def single_loop_gog(alpha_exp=1, alpha_bar_exp=1):
+def single_loop_gog():
     graph = SerreGraph.from_edges(["v"], [("e", "v", "v")])
-    return GraphOfGroups(
-        graph,
-        {"v": z_vertex()},
-        {"e": ("c",)},
-        {"e": (Word([(0, alpha_exp)]),), "e_bar": (Word([(0, alpha_bar_exp)]),)},
-    )
+    a = Word([(0, 1)])
+    return GraphOfGroups(graph, {"v": z_vertex()}, {"e": ("c",)}, {"e": (a,), "e_bar": (a,)})
 
 
 def test_serre_graph_basics():
@@ -253,8 +249,8 @@ def test_load_fixture_round_trip():
 
 
 def test_loads_ignores_unknown_keys():
-    # Documents written for older readers, which took an index_meta object
-    # per edge, still load, whatever that object holds.
+    # An edge's index_meta object, which earlier versions of the format
+    # read, is ignored like any other unknown key, whatever it holds.
     doc = json.loads(fixture_text("declared_infinite_loop"))
     doc["edges"][0]["index_meta"] = {"alpha": "sometimes", "beta": True}
     doc["vertices"]["v"]["note"] = 1
