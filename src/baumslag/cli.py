@@ -22,7 +22,6 @@ from .graph_of_groups import (
     GogValidationError,
     fundamental_presentation,
     load,
-    validate,
 )
 from .metabelian import (
     MetabelianParams,
@@ -310,11 +309,6 @@ def cmd_cert(args) -> int:
 
 def cmd_pi1(args) -> int:
     gog = load(args.input)
-    violations = validate(gog)
-    if violations:
-        for violation in violations:
-            print(f"invalid graph of groups: {violation}", file=sys.stderr)
-        return EXIT_USAGE
     tree = None
     if args.tree is not None:
         tree = frozenset(p for p in (s.strip() for s in args.tree.split(",")) if p)
@@ -497,7 +491,11 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (WordParseError, GogFileError, GogValidationError) as err:
+    except GogValidationError as err:
+        for violation in err.violations:
+            print(f"invalid graph of groups: {violation}", file=sys.stderr)
+        return EXIT_USAGE
+    except (WordParseError, GogFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as err:

@@ -1,12 +1,19 @@
 """Serre graphs, graphs of groups, fundamental-group presentations, and
 the collapse-to-one-edge move.
 
-A Serre graph carries oriented half-edges: every half-edge e has an
-inverse ``inv(e) != e`` and an origin vertex; the terminus of e is the
-origin of inv(e).  A graph of groups attaches a finite presentation to
-each vertex, an abstract generator list to each edge pair, and for each
-half-edge e a boundary map sending every edge generator to a word in the
-generators of the origin vertex of e.
+A Serre graph (Serre, Trees, I.2) carries oriented half-edges: every
+half-edge e has an inverse ``inv(e) != e`` and an origin vertex; the
+terminus of e is the origin of inv(e).  ``SerreGraph`` is built only
+from (id, from, to) edge triples: the edge ``id`` gives the half-edge
+``id`` and its reverse ``id_bar``, so these invariants hold by
+construction, and a repeated id (or an ``id`` that is another edge's
+``id_bar``) raises GogValidationError.  A graph of groups attaches a
+finite presentation to each vertex, an abstract generator list to each
+edge pair, and for each half-edge e a boundary map sending every edge
+generator to a word in the generators of the origin vertex of e.
+``validate`` checks what the edge triples do not fix: identifiers,
+declared origins, connectivity, and that the groups, edge generators
+and boundary words fit the graph.
 
 ``fundamental_presentation`` realises the group of the whole diagram
 relative to a maximal subtree: generators are all vertex generators
@@ -60,8 +67,8 @@ class GogFileError(ValueError):
 
 
 class GogValidationError(ValueError):
-    """Raised when an operation requires a structurally valid graph of
-    groups; carries the violation list."""
+    """Raised when an operation requires a valid graph of groups, or when
+    edge triples repeat an id; carries the violation list."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
@@ -69,31 +76,26 @@ class GogValidationError(ValueError):
 
 
 class SerreGraph:
-    """Vertices plus involutive oriented half-edges."""
+    """Vertices plus oriented half-edges, built from edge triples: the
+    edge (e, u, v) gives the half-edge e from u to v and its reverse
+    e_bar from v to u.  So ``inv`` is an involution without fixed points
+    and every half-edge has an origin, by construction."""
 
-    def __init__(self, vertices: Iterable[str], inv: Mapping[str, str], origin: Mapping[str, str]):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         self.vertices = tuple(sorted(vertices))
-        self.inv = dict(inv)
-        self.origin = dict(origin)
+        self.inv: dict[str, str] = {}
+        self.origin: dict[str, str] = {}
+        for eid, frm, to in edges:
+            bar = eid + "_bar"
+            if eid in self.inv or bar in self.inv:
+                raise GogValidationError([f"duplicate edge id {eid!r}"])
+            self.inv[eid] = bar
+            self.inv[bar] = eid
+            self.origin[eid] = frm
+            self.origin[bar] = to
         self._incident: dict[str, list[str]] = {}
         for e in sorted(self.origin):
             self._incident.setdefault(self.origin[e], []).append(e)
-
-    @classmethod
-    def from_edges(
-        cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]
-    ) -> "SerreGraph":
-        """Build from (edge id, origin, terminus) triples; the reverse
-        half-edge of ``e`` is named ``e_bar``."""
-        inv: dict[str, str] = {}
-        origin: dict[str, str] = {}
-        for eid, frm, to in edges:
-            bar = eid + "_bar"
-            inv[eid] = bar
-            inv[bar] = eid
-            origin[eid] = frm
-            origin[bar] = to
-        return cls(vertices, inv, origin)
 
     @property
     def half_edges(self) -> tuple[str, ...]:
@@ -160,9 +162,16 @@ class GraphOfGroups:
 
 
 def validate(gog: GraphOfGroups) -> list[str]:
-    """Structural invariant check; returns human-readable violations
-    (empty iff the graph of groups is well formed).  Injectivity of the
-    boundary maps is assumed, never checked."""
+    """Structural check; returns human-readable violations (empty iff the
+    graph of groups is well formed).
+
+    Half-edges come in reverse pairs with an origin each by construction
+    of ``SerreGraph``, so what is checked is: identifiers, that every
+    origin is a declared vertex, connectivity (when it is), a group for
+    every vertex, edge generators for exactly the edge pairs, and one
+    boundary word per edge generator over its origin's generators (when
+    every origin is declared).  Injectivity of the boundary maps is
+    assumed, never checked."""
     out: list[str] = []
     g = gog.graph
     if not g.vertices:
@@ -170,60 +179,50 @@ def validate(gog: GraphOfGroups) -> list[str]:
     for v in g.vertices:
         if not IDENT_RE.fullmatch(v):
             out.append(f"vertex id {v!r} is not an identifier")
-    structurally_ok = True
-    for e, ebar in sorted(g.inv.items()):
+    stray = {e for e in g.half_edges if g.origin[e] not in g.vertices}
+    for e in g.half_edges:
         if not IDENT_RE.fullmatch(e):
             out.append(f"half-edge id {e!r} is not an identifier")
-        if ebar == e:
-            out.append(f"edge {e!r} equals its inverse")
-            structurally_ok = False
-            continue
-        if g.inv.get(ebar) != e:
-            out.append(f"inverse of {e!r} is not an involution")
-            structurally_ok = False
-        if e not in g.origin:
-            out.append(f"half-edge {e!r} has no origin")
-            structurally_ok = False
-        elif g.origin[e] not in g.vertices:
+        if e in stray:
             out.append(f"origin of {e!r} is not a declared vertex")
-            structurally_ok = False
-    if structurally_ok and g.vertices and not g.is_connected():
+    if not stray and g.vertices and not g.is_connected():
         out.append("graph is not connected")
     for v in g.vertices:
         if v not in gog.vertex_groups:
             out.append(f"vertex {v!r} has no group")
-    if structurally_ok:
-        pairs = set(g.edge_pairs())
-        declared = set(gog.edge_generators)
-        for missing in sorted(pairs - declared):
-            out.append(f"edge pair {missing!r} has no edge generators entry")
-        for extra in sorted(declared - pairs):
-            out.append(f"edge generators declared for unknown pair {extra!r}")
-        for e in g.half_edges:
-            key = g.pair_key(e)
-            if key not in gog.edge_generators or e not in g.origin:
-                continue
-            words = gog.boundary.get(e)
-            if words is None:
-                out.append(f"half-edge {e!r} has no boundary images")
-                continue
-            if len(words) != len(gog.edge_generators[key]):
-                out.append(
-                    f"half-edge {e!r} has {len(words)} boundary images for "
-                    f"{len(gog.edge_generators[key])} edge generators"
-                )
-                continue
-            pres = gog.vertex_groups.get(g.origin[e])
-            if pres is None:
-                continue
-            for i, w in enumerate(words):
-                for gen, _ in w.letters:
-                    if not 0 <= gen < len(pres.generators):
-                        out.append(
-                            f"boundary image {i} of half-edge {e!r} uses a "
-                            f"generator outside the origin vertex group"
-                        )
-                        break
+    if stray:
+        return out
+    pairs = set(g.edge_pairs())
+    declared = set(gog.edge_generators)
+    for missing in sorted(pairs - declared):
+        out.append(f"edge pair {missing!r} has no edge generators entry")
+    for extra in sorted(declared - pairs):
+        out.append(f"edge generators declared for unknown pair {extra!r}")
+    for e in g.half_edges:
+        key = g.pair_key(e)
+        if key not in gog.edge_generators:
+            continue
+        words = gog.boundary.get(e)
+        if words is None:
+            out.append(f"half-edge {e!r} has no boundary images")
+            continue
+        if len(words) != len(gog.edge_generators[key]):
+            out.append(
+                f"half-edge {e!r} has {len(words)} boundary images for "
+                f"{len(gog.edge_generators[key])} edge generators"
+            )
+            continue
+        pres = gog.vertex_groups.get(g.origin[e])
+        if pres is None:
+            continue
+        for i, w in enumerate(words):
+            for gen, _ in w.letters:
+                if not 0 <= gen < len(pres.generators):
+                    out.append(
+                        f"boundary image {i} of half-edge {e!r} uses a "
+                        f"generator outside the origin vertex group"
+                    )
+                    break
     return out
 
 
@@ -328,7 +327,6 @@ class PiOnePresentation:
     simplified: Presentation
     tree: frozenset[str]
     vertex_gen_names: Mapping[str, tuple[str, ...]]
-    edge_letters: tuple[str, ...]
 
 
 def fundamental_presentation(
@@ -414,7 +412,6 @@ def fundamental_presentation(
         simplified=simplified,
         tree=tree,
         vertex_gen_names=names,
-        edge_letters=tuple(g.half_edges),
     )
 
 
@@ -425,7 +422,6 @@ class CollapsedSplitting:
     and an HNN extension when it joins one component to itself."""
 
     kind: str  # "amalgam" or "hnn"
-    kept_edge: str
     gog: GraphOfGroups
 
 
@@ -452,24 +448,12 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
 
     def collapse_component(root: str) -> tuple[Presentation, Mapping[str, tuple[str, ...]]]:
         vertices = sorted(v for v, r in component.items() if r == root)
-        half_edges = {
-            e
-            for e in g.inv
-            if g.origin[e] in vertices and g.pair_key(e) != keep
-        }
-        sub_graph = SerreGraph(
-            vertices,
-            {e: g.inv[e] for e in half_edges},
-            {e: g.origin[e] for e in half_edges},
-        )
+        pairs = [p for p in g.edge_pairs() if p != keep and component[g.origin[p]] == root]
         sub = GraphOfGroups(
-            sub_graph,
+            SerreGraph(vertices, [(p, g.origin[p], g.terminus(p)) for p in pairs]),
             {v: gog.vertex_groups[v] for v in vertices},
-            {
-                p: gog.edge_generators[p]
-                for p in {g.pair_key(e) for e in half_edges}
-            },
-            {e: gog.boundary[e] for e in half_edges},
+            {p: gog.edge_generators[p] for p in pairs},
+            {e: gog.boundary[e] for p in pairs for e in (p, g.inv[p])},
         )
         pi1 = fundamental_presentation(sub)
         return pi1.simplified, pi1.vertex_gen_names
@@ -494,18 +478,13 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
         local_to_new = [position[name] for name in names]
         return tuple(_remap(w, local_to_new) for w in gog.boundary[e])
 
-    new_graph = SerreGraph(
-        sorted({root_a, root_b}),
-        {keep: keep_bar, keep_bar: keep},
-        {keep: root_a, keep_bar: root_b},
-    )
     new_gog = GraphOfGroups(
-        new_graph,
+        SerreGraph(sorted({root_a, root_b}), [(keep, root_a, root_b)]),
         presentations,
         {keep: gog.edge_generators[keep]},
         {keep: rewrite(keep), keep_bar: rewrite(keep_bar)},
     )
-    return CollapsedSplitting(kind=kind, kept_edge=keep, gog=new_gog)
+    return CollapsedSplitting(kind=kind, gog=new_gog)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +588,7 @@ def loads(text: str) -> GraphOfGroups:
         boundary[eid] = tuple(words["alpha"])
         boundary[bar] = tuple(words["alpha_bar"])
 
-    graph = SerreGraph.from_edges(list(doc["vertices"]), edge_triples)
+    graph = SerreGraph(list(doc["vertices"]), edge_triples)
     return GraphOfGroups(graph, vertex_groups, edge_generators, boundary)
 
 

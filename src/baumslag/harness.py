@@ -81,8 +81,8 @@ class SuiteReport:
     def verdict(self) -> str:
         return "pass" if not self.failures else "fail"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        payload = {
             "suite": self.suite,
             "parameters": self.parameters,
             "trials": self.trials,
@@ -90,9 +90,7 @@ class SuiteReport:
             "notes": self.notes,
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}", "parameters:"]

@@ -161,6 +161,15 @@ def test_eval_budget_is_the_value_in_lowest_terms(capsys):
     assert f"element: ({4**4000}/{9**4000}, 0)" in out
 
 
+def test_eval_long_walk_exits_3(capsys):
+    # (t a)^200000 t^-200000 is the sum of 2^-j for j = 1..200000: the
+    # walk passes the budget about 14 000 levels out and stops there.
+    word = "(t a)^200000 t^-200000"
+    code, out, err = run(capsys, "eval", "--group", "G(1,2)", "--word", word)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "denominator of at least 14001 bits" in err
+
+
 def test_eval_far_power_over_one_base_exits_3(capsys):
     # t^-N a t^N is a^(3^N) in G(1,3), and so is t^N a t^-N in G(3,1):
     # refused before 3^N is built.  Their a t a^-3 variants are trivial.

@@ -62,7 +62,7 @@ def test_pipeline_on_colliding_names_with_loop():
     # Both vertices use generator 'a', and half-edge letters share the
     # namespace; the builder must rename deterministically and every
     # downstream invariant must still hold.
-    graph = SerreGraph.from_edges(
+    graph = SerreGraph(
         ["u", "v"], [("e", "u", "v"), ("f", "v", "v")]
     )
     gog = GraphOfGroups(

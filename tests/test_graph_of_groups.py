@@ -27,13 +27,13 @@ def z_vertex(name="a"):
 
 
 def single_loop_gog():
-    graph = SerreGraph.from_edges(["v"], [("e", "v", "v")])
+    graph = SerreGraph(["v"], [("e", "v", "v")])
     a = Word([(0, 1)])
     return GraphOfGroups(graph, {"v": z_vertex()}, {"e": ("c",)}, {"e": (a,), "e_bar": (a,)})
 
 
 def test_serre_graph_basics():
-    g = SerreGraph.from_edges(["v1", "v2"], [("e", "v1", "v2")])
+    g = SerreGraph(["v1", "v2"], [("e", "v1", "v2")])
     assert g.terminus("e") == "v2"
     assert g.terminus("e_bar") == "v1"
     assert g.pair_key("e_bar") == "e"
@@ -45,11 +45,25 @@ def test_validate_well_formed_loop():
     assert validate(single_loop_gog()) == []
 
 
-def test_validate_edge_equal_to_inverse():
-    graph = SerreGraph(["v"], {"e": "e"}, {"e": "v"})
+def test_serre_graph_rejects_duplicate_edge_ids():
+    # A repeated id, and an id that is another edge's reverse, in either
+    # order: each would otherwise overwrite half-edges already built.
+    for edges in (
+        [("x", "v", "w"), ("x", "w", "v")],
+        [("x", "v", "w"), ("x_bar", "w", "v")],
+        [("x_bar", "w", "v"), ("x", "v", "w")],
+    ):
+        with pytest.raises(GogValidationError) as err:
+            SerreGraph(["v", "w"], edges)
+        assert err.value.violations == [f"duplicate edge id {edges[1][0]!r}"]
+
+
+def test_validate_undeclared_origin():
+    # Connectivity and the edge-pair checks are skipped while an origin is
+    # undeclared, so the missing edge generators of 'e' are not reported.
+    graph = SerreGraph(["v"], [("e", "v", "w")])
     gog = GraphOfGroups(graph, {"v": z_vertex()}, {}, {})
-    problems = validate(gog)
-    assert any("equals its inverse" in p for p in problems)
+    assert validate(gog) == ["origin of 'e_bar' is not a declared vertex"]
 
 
 def test_validate_foreign_generator_in_boundary():
@@ -60,7 +74,7 @@ def test_validate_foreign_generator_in_boundary():
 
 
 def test_validate_disconnected():
-    graph = SerreGraph.from_edges(["v1", "v2", "v3"], [("e", "v1", "v2")])
+    graph = SerreGraph(["v1", "v2", "v3"], [("e", "v1", "v2")])
     gog = GraphOfGroups(
         graph,
         {"v1": z_vertex(), "v2": z_vertex("b"), "v3": z_vertex("c")},
@@ -71,13 +85,13 @@ def test_validate_disconnected():
 
 
 def test_spanning_tree_examples():
-    loop = SerreGraph.from_edges(["v"], [("e", "v", "v")])
+    loop = SerreGraph(["v"], [("e", "v", "v")])
     assert spanning_tree(loop) == frozenset()
 
-    two = SerreGraph.from_edges(["v1", "v2"], [("e", "v1", "v2")])
+    two = SerreGraph(["v1", "v2"], [("e", "v1", "v2")])
     assert spanning_tree(two) == frozenset({"e"})
 
-    triangle = SerreGraph.from_edges(
+    triangle = SerreGraph(
         ["v1", "v2", "v3"],
         [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
     )
@@ -86,7 +100,7 @@ def test_spanning_tree_examples():
 
 
 def test_spanning_tree_disconnected():
-    graph = SerreGraph(["v1", "v2"], {}, {})
+    graph = SerreGraph(["v1", "v2"], [])
     with pytest.raises(DomainError):
         spanning_tree(graph)
 
@@ -103,7 +117,7 @@ def test_pi1_single_loop_z2():
 
 
 def test_pi1_amalgam_example():
-    graph = SerreGraph.from_edges(["v1", "v2"], [("e", "v1", "v2")])
+    graph = SerreGraph(["v1", "v2"], [("e", "v1", "v2")])
     gog = GraphOfGroups(
         graph,
         {"v1": z_vertex(), "v2": z_vertex("b")},
@@ -118,7 +132,7 @@ def test_pi1_amalgam_example():
 
 
 def test_pi1_edgeless_returns_vertex_presentation():
-    graph = SerreGraph(["v"], {}, {})
+    graph = SerreGraph(["v"], [])
     pres = Presentation(("x", "y"), (parse_word("x y x^-1 y^-1", ("x", "y")),))
     gog = GraphOfGroups(graph, {"v": pres}, {}, {})
     pi1 = fundamental_presentation(gog)
@@ -127,7 +141,7 @@ def test_pi1_edgeless_returns_vertex_presentation():
 
 
 def test_pi1_renames_colliding_generators():
-    graph = SerreGraph.from_edges(["u", "v"], [("e", "u", "v")])
+    graph = SerreGraph(["u", "v"], [("e", "u", "v")])
     gog = GraphOfGroups(
         graph,
         {"u": z_vertex("a"), "v": z_vertex("a")},
@@ -162,10 +176,11 @@ def test_pi1_tree_override_and_validation():
 
 
 def test_pi1_requires_valid_gog():
-    graph = SerreGraph(["v"], {"e": "e"}, {"e": "v"})
+    graph = SerreGraph(["v"], [("e", "w", "v")])
     gog = GraphOfGroups(graph, {"v": z_vertex()}, {}, {})
-    with pytest.raises(GogValidationError):
+    with pytest.raises(GogValidationError) as err:
         fundamental_presentation(gog)
+    assert err.value.violations == ["origin of 'e' is not a declared vertex"]
 
 
 def test_collapse_identity_on_one_edge_graph():

@@ -27,7 +27,7 @@ def random_graph(rng, connected):
     if connected:
         for i, v in enumerate(vertices[1:], start=1):
             edges.append((f"t{i}", rng.choice(vertices[:i]), v))
-    return SerreGraph.from_edges(vertices, edges)
+    return SerreGraph(vertices, edges)
 
 
 def graph_of_groups(graph):
