@@ -9,6 +9,7 @@ that parses back into the documented report shapes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -395,6 +396,10 @@ VERIFY_USAGE = f"\n{_USAGE_INDENT}".join(
 )
 
 
+# One parser per process.  It holds no handler: main looks up
+# cmd_<command> in this module at call time, so a cmd_* rebound after
+# the first call (a tracer, a test double) is the one that runs.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baumslag",
@@ -417,32 +422,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="BS(m,n)")
     p.add_argument("--word", required=True, help="word over a, t")
     add_format(p)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("eval", help="evaluate a word over a, t in G(m,n)")
     p.add_argument("--group", required=True, help="G(m,n)")
     p.add_argument("--word", required=True, help="word over a, t")
     add_format(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="classify the subgroup generated by two elements")
     p.add_argument("--group", required=True, help="G(m,n)")
     p.add_argument("--elems", required=True, help="two elements '(x, p); (y, q)'")
     add_format(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("witness", help="produce and verify a structural witness")
     p.add_argument("--group", required=True, help="G(m,n) or BS(m,n) for z2")
     p.add_argument("--kind", required=True, choices=("weak-ah", "csa", "z2"))
     p.add_argument("--bound", type=int, default=4, help="power bound for z2")
     add_format(p)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("cert", help="Bezout membership certificate for 1/m^k or 1/n^k")
     p.add_argument("--group", required=True, help="G(m,n)")
     p.add_argument("--target", required=True, help="'1/n^k' or '1/m^k'")
     add_format(p)
-    p.set_defaults(func=cmd_cert)
 
     p = sub.add_parser("pi1", help="fundamental group of a graph-of-groups file")
     p.add_argument("--input", required=True, help="graph-of-groups JSON file")
@@ -452,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated edge ids overriding the default spanning tree",
     )
     add_format(p)
-    p.set_defaults(func=cmd_pi1)
 
     p = sub.add_parser("verify", help="run a verification suite", usage=VERIFY_USAGE)
     p.add_argument(
@@ -475,19 +474,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility and ignored: trials run in one thread",
     )
     add_format(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_OK if err.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -6,11 +6,13 @@ signature names the groups, trial count and bound that ``baumslag verify
 on only the flags that were given.
 
 Every suite produces a SuiteReport whose text and JSON renderings are
-byte-stable functions of (suite, parameters, seed): the i-th trial draws
-all of its randomness from ``random.Random(f"{seed}:{i}")``, and trials
-run one after another in index order in the calling thread.
-A failure record carries the per-trial seed and the inputs needed to
-replay that single trial.
+byte-stable functions of (suite, parameters, seed): the i-th trial gets
+the seed string ``f"{seed}:{i}"``, and trials run one after another in
+index order in the calling thread.  The suites that draw (ct, oracle,
+classify) take all of a trial's randomness from
+``random.Random(f"{seed}:{i}")``; the others never draw and build no
+Random.  A failure record carries the per-trial seed and the inputs
+needed to replay that single trial.
 
 Random elements of G(m, n) are sampled with the t-exponent uniform in
 [-T_BOUND, T_BOUND] and the kernel component z / (m^i n^j) with z
@@ -139,17 +141,16 @@ def _run_trials(
     parameters: dict,
     seed: int | str,
     total: int,
-    trial: Callable[[int, random.Random], list[Problem]],
+    trial: Callable[[int, str], list[Problem]],
     notes: Sequence[str] = (),
 ) -> SuiteReport:
-    """Run trials 0 .. total-1 in index order and report their problems
-    as failure records, under the parameters plus the seed."""
+    """Run trials 0 .. total-1 in index order, each with its seed string
+    "SEED:INDEX", and report their problems as failure records, under
+    the parameters plus the seed."""
     failures: list[dict] = []
     for index in range(total):
         sub = f"{seed}:{index}"
-        failures.extend(
-            _failure(index, sub, p) for p in trial(index, random.Random(sub))
-        )
+        failures.extend(_failure(index, sub, p) for p in trial(index, sub))
     return SuiteReport(suite, {**parameters, "seed": seed}, total, failures, list(notes))
 
 
@@ -189,7 +190,8 @@ def suite_ct(
     _require_nonnegative("trials", trials)
     groups = _coerce_params(params_list)
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
+        rng = random.Random(sub)
         params = groups[index // trials]
         for _ in range(100):
             h = _random_nonidentity(rng, params)
@@ -238,7 +240,8 @@ def suite_oracle(
         if k < 1:
             raise DomainError(f"oracle suite needs k >= 1, got {k}")
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
+        rng = random.Random(sub)
         k = ks[index // trials]
         word = random_bs_word(rng, ORACLE_MAX_LEN)
         by_britton = britton.is_trivial(word, britton.BsParams(1, k))
@@ -272,7 +275,7 @@ def suite_z2(
     runnable = [c for c in cells if abs(c[0]) > 1 and abs(c[1]) > 1]
     skipped = [c for c in cells if c not in runnable]
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
         params = britton.BsParams(*runnable[index])
         report = britton.z2_witness(params, bound)
         out = []
@@ -300,7 +303,7 @@ def suite_witnesses(params_list: Sequence = WITNESS_GROUPS, seed: int | str = 0)
     by evaluating their defining identities with group arithmetic."""
     groups = _coerce_params(params_list)
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
         params = groups[index // 2]
         if index % 2 == 0:
             witness = power_conjugacy_witness(params)
@@ -346,7 +349,7 @@ def suite_bezout(
         for side in ("m", "n")
     ]
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
         params, k, side = work[index]
         cert = bezout_certificate(params, k, side)
         checks = {
@@ -433,7 +436,8 @@ def suite_classify(
     fixed_problems = classify_fixed_examples()
     notes = ["fixed examples in G(2,3): reproduced"] if not fixed_problems else []
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
+        rng = random.Random(sub)
         params = groups[index // trials]
         g1 = random_element(rng, params)
         g2 = random_element(rng, params)
@@ -497,7 +501,7 @@ def suite_gog(names: Sequence[str] = fixture_names(), seed: int | str = 0) -> Su
     collapse-to-one-edge move."""
     names = list(names)
 
-    def trial(index: int, rng: random.Random) -> list[Problem]:
+    def trial(index: int, sub: str) -> list[Problem]:
         name = names[index]
         return [
             (name, f"fixture {name}", expected, got)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from baumslag import britton
 from baumslag.britton import (
     MAX_EXPONENT_BITS,
     BsParams,
@@ -287,6 +288,28 @@ def test_z2_witness_guards():
         z2_witness(BsParams(1, 2), 4)
     with pytest.raises(DomainError):
         z2_witness(BS23, 0)
+
+
+def test_z2_witness_refuses_n_of_size_one():
+    with pytest.raises(DomainError, match="needs"):
+        z2_witness(BsParams(3, 1), 2)
+
+
+def test_z2_witness_reports_a_collapse(monkeypatch):
+    # No group tested collapses a power of u, so a patched reduction makes
+    # u^bound trivial: (bound, 0) must be reported.  A one-syllable u^bound
+    # that is a t-letter is no collapse.
+    bound = 3
+    top = BsWord(0, ((-1, 1), (1, 1))) ** bound
+    for image, collapsed in ((BsWord(), ((bound, 0),)), (W("t"), ())):
+        def reduce(word, params, image=image):
+            return image if word == top else britton_reduce(word, params)
+
+        monkeypatch.setattr(britton, "britton_reduce", reduce)
+        report = z2_witness(BS23, bound)
+        assert report.pairs_checked == 48
+        assert report.collapsed_pairs == collapsed
+        assert report.verified == (not collapsed)
 
 
 def test_z2_witness_negative_params():

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
+import baumslag
+from baumslag import cli
 from baumslag.cli import main
 from baumslag.fixtures import fixture_text
 
@@ -469,3 +475,42 @@ def test_usage_errors(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def fresh_process(*argv):
+    """(exit, stdout, stderr) of ``python -m baumslag.cli ARGV`` in a new
+    interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(baumslag.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "baumslag.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_verify_group_does_not_carry_into_the_next_call(capsys):
+    # The parser is built once per process; a repeated --group must not
+    # accumulate across calls.
+    code, out, _ = run(capsys, "verify", "--suite", "bezout", "--group", "G(2,3)", "--bound", "1")
+    assert code == 0 and "  params: G(2,3)\n" in out
+    code, out, _ = run(capsys, "verify", "--suite", "bezout", "--bound", "1")
+    assert code == 0
+    assert "  params: G(2,3) G(3,5) G(1,2) G(2,7)\n" in out
+
+
+def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ("verify", "--suite", "bezout", "--group", "G(2,3)", "--bound", "x")
+    good = ("verify", "--suite", "bezout", "--bound", "1")
+    assert run(capsys, *bad) == fresh_process(*bad)
+    assert run(capsys, *bad)[0] == 2
+    assert run(capsys, *good) == fresh_process(*good)
+
+
+def test_command_rebound_after_a_call_takes_effect(capsys):
+    # main looks up cmd_<command> at call time, not in the cached parser.
+    assert run(capsys, "reduce", "--group", "BS(2,3)", "--word", "a")[0] == 0
+    with mock.patch.object(cli, "cmd_reduce", return_value=7) as fake:
+        assert run(capsys, "reduce", "--group", "BS(2,3)", "--word", "a") == (7, "", "")
+    assert fake.call_args.args[0].word == "a"

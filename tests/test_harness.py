@@ -28,8 +28,8 @@ import random
 def test_run_trials_order_is_stable_across_jobs():
     # One serial runner: records come in trial-index order, and a rerun
     # with the same seed repeats them exactly.
-    def trial(index, rng):
-        draw = str(rng.randint(0, 10**6))
+    def trial(index, sub):
+        draw = str(random.Random(sub).randint(0, 10**6))
         return [("p", draw, "no draw", "a draw")] if index % 3 == 0 else []
 
     first = _run_trials("demo", {"k": 1}, "s", 30, trial, ["a note"])
@@ -42,8 +42,8 @@ def test_run_trials_order_is_stable_across_jobs():
 
 def test_failure_records_are_replayable():
     # The runner, not the trial, writes the trial index and seed.
-    def trial(index, rng):
-        value = rng.randint(0, 100)
+    def trial(index, sub):
+        value = random.Random(sub).randint(0, 100)
         if value < 20:
             return [("p", str(value), "value >= 20", "smaller")]
         return []
@@ -54,6 +54,24 @@ def test_failure_records_are_replayable():
         assert record["seed"] == f"7:{record['trial']}"
         replay = random.Random(record["seed"]).randint(0, 100)
         assert str(replay) == record["inputs"]
+
+
+def test_only_the_drawing_suites_seed_a_random(monkeypatch):
+    # bezout, z2, witnesses and gog never draw, so they build no Random;
+    # ct, oracle and classify build one per trial.
+    def refuse(*args):
+        raise AssertionError("random.Random was built")
+
+    monkeypatch.setattr(harness.random, "Random", refuse)
+    assert suite_bezout([(2, 3)], k_max=2, seed=0).verdict == "pass"
+    assert suite_z2([(2, 3), (1, 2)], bound=2, seed=0).verdict == "pass"
+    assert suite_witnesses([(2, 3), (1, 1)], seed=0).verdict == "pass"
+    assert suite_gog(["two_loops"], seed=0).verdict == "pass"
+    for run in (lambda: suite_ct([(2, 3)], trials=1, seed=0),
+                lambda: suite_oracle([2], trials=1, seed=0),
+                lambda: suite_classify([(2, 3)], trials=1, seed=0)):
+        with pytest.raises(AssertionError, match="random.Random was built"):
+            run()
 
 
 def test_random_element_respects_bounds(monkeypatch):
