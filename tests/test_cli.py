@@ -503,8 +503,8 @@ def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(capsys, monkeypa
     monkeypatch.setenv("COLUMNS", "80")
     bad = ("verify", "--suite", "bezout", "--group", "G(2,3)", "--bound", "x")
     good = ("verify", "--suite", "bezout", "--bound", "1")
-    assert run(capsys, *bad) == fresh_process(*bad)
-    assert run(capsys, *bad)[0] == 2
+    result = run(capsys, *bad)
+    assert result[0] == 2 and result == fresh_process(*bad)
     assert run(capsys, *good) == fresh_process(*good)
 
 
