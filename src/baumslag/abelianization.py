@@ -7,6 +7,9 @@ external linear algebra is used.
 ``smith_normal_form`` is one sparse elimination loop (Havas & Majewski,
 Integer matrix diagonalization, J. Symbolic Comput. 24, 1997):
 
+* Rows come in sparse, as ``{column: value}`` maps (dense sequences are
+  accepted too): ``abelianization`` sums each relator's syllables into
+  its row, so neither it nor the entry loop walks a zero entry.
 * Rows equal up to sign are dropped on entry: a raw pi_1 matrix holds
   each boundary relation twice, once per half-edge.
 * The matrix is held both as sparse rows and as sparse columns,
@@ -36,13 +39,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .words import Presentation, exponent_sums
+from .words import Presentation
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors d1 | d2 | ... of an integer matrix.
+def smith_normal_form(matrix: Sequence[Sequence[int] | Mapping[int, int]]) -> list[int]:
+    """Invariant factors d1 | d2 | ... of an integer matrix, given as a
+    list of rows, each a dense sequence or a sparse {column: value} map.
 
     Returns the positive diagonal entries of the Smith normal form in
     divisibility order (trailing zero diagonal entries are dropped).
@@ -52,7 +56,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     seen = set()
     heap: list[tuple[int, int, int]] = []
     for values in matrix:
-        row = {j: int(v) for j, v in enumerate(values) if v}
+        pairs = sorted(values.items()) if isinstance(values, Mapping) else enumerate(values)
+        row = {j: int(v) for j, v in pairs if v}
         if not row:
             continue
         key = tuple(row.items())
@@ -146,9 +151,16 @@ class Abelianization:
 
 def abelianization(pres: Presentation) -> Abelianization:
     """Abelianization of a presented group, via the Smith normal form of
-    the relator exponent matrix."""
+    the relator exponent matrix.  Each row is built sparse, as the
+    exponent sums of one relator's syllables, so the matrix costs the
+    total relator length rather than relators times generators."""
     ngens = len(pres.generators)
-    matrix = [exponent_sums(r, ngens) for r in pres.relators]
+    matrix = []
+    for relator in pres.relators:
+        row: dict[int, int] = {}
+        for gen, exp in relator.letters:
+            row[gen] = row.get(gen, 0) + exp
+        matrix.append({j: v for j, v in row.items() if v})
     factors = smith_normal_form(matrix) if matrix else []
     return Abelianization(
         free_rank=ngens - len(factors),

@@ -97,18 +97,26 @@ class BsWord(Word):
     def from_word(cls, w: Word) -> "BsWord":
         """w itself, not copied; raises ValueError for a generator other
         than a and t, and DomainError past MAX_SYLLABLES t-letters."""
-        word = cls._make(w.letters)
         if any(gen not in (0, 1) for gen, _ in w.letters):
             raise ValueError("BS words use the two-letter alphabet (a, t)")
+        return cls._capped(w.letters)
+
+    @classmethod
+    def from_text(cls, text: str) -> "BsWord":
+        """The word that ``text`` spells over (a, t); raises what
+        parse_word raises, and DomainError past MAX_SYLLABLES t-letters.
+        Parsing over (a, t) yields no other generator, so unlike
+        from_word this does not check the alphabet."""
+        return cls._capped(parse_word(text, GENERATORS).letters)
+
+    @classmethod
+    def _capped(cls, letters: tuple[tuple[int, int], ...]) -> "BsWord":
+        word = cls._make(letters)
         if word.t_length > MAX_SYLLABLES:
             raise DomainError(
                 f"word has {word.t_length} t-letters, above the limit of {MAX_SYLLABLES}"
             )
         return word
-
-    @classmethod
-    def from_text(cls, text: str) -> "BsWord":
-        return cls.from_word(parse_word(text, GENERATORS))
 
     def format(self) -> str:
         return format_word(self, GENERATORS)

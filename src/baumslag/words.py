@@ -13,10 +13,17 @@ Whitespace (``\s``, which is exactly str.isspace) between terms is
 optional.  Generator tokens are matched maximal-munch against the
 declared alphabet, so single-letter generators may be juxtaposed ("tat"
 over {a, t}) while multi-letter names such as "e_bar" still tokenise as
-one generator: parse_word scans each ident with one compiled pattern and
-splits it at the longest declared name at each offset.  Digits are
-``\d``, exactly the decimal digits int() accepts ("a^²" is a malformed
-exponent, not a crash).
+one generator: parse_word splits the text into terms with one findall of
+a compiled pattern, looks each ident up in the alphabet, and splits an
+ident that is not declared at the longest declared name at each offset.
+Digits are ``\d``, exactly the decimal digits int() accepts ("a^²" is a
+malformed exponent, not a crash).
+
+Each syllable is merged onto the reduced syllables of its group as it is
+read, so the parsed word needs no second reduction pass.  A merge past
+the exponent budget is raised when its group closes, or at the end of
+the text, so a syntax error before that point is reported instead, as
+by a parser that reduces each group only once it has read it.
 
 Powers are computed in closed form (see Word.__pow__), so ``a^N`` and
 ``(t a t^-1)^N`` cost O(digits of N).  A power whose cyclically reduced
@@ -35,19 +42,17 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import DomainError
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# One term of the grammar after optional whitespace: "(", or an ident or
-# ")" with an optional exponent.  A "^" without an integer after it still
-# matches (group "exp" is None), so the error can name the position.
-TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<open>\()|(?:(?P<ident>{IDENT_RE.pattern})|(?P<close>\)))"
-    r"(?:\s*(?P<caret>\^)\s*(?P<exp>-?\d+)?)?)"
-)
-SPACE_RE = re.compile(r"\s*")
+# One term of the grammar and the whitespace after it, as (name, caret,
+# digits, other): an ident or ")" with an optional exponent, or any other
+# character ("(" among them) as ``other``.  A "^" without an integer after
+# it still matches (digits is ""), so the error can name the position.
+TERM_RE = re.compile(rf"(?:({IDENT_RE.pattern}|\))(?:\s*(\^)\s*(-?\d+)?)?|(\S))\s*")
 
 # Largest number of syllables a power may build, and of t-letters a BS(m,n)
 # word may hold.
@@ -80,28 +85,44 @@ class UnbalancedParenthesisError(WordParseError):
     pass
 
 
+def _over_budget(exp: int) -> DomainError:
+    return DomainError(
+        f"exponent has {exp.bit_length()} bits, above the limit of {MAX_EXPONENT_BITS}"
+    )
+
+
 def checked_exponent(exp: int) -> int:
     """exp, or DomainError when it has more than MAX_EXPONENT_BITS bits."""
     if exp.bit_length() > MAX_EXPONENT_BITS:
-        raise DomainError(
-            f"exponent has {exp.bit_length()} bits, above the limit of {MAX_EXPONENT_BITS}"
-        )
+        raise _over_budget(exp)
     return exp
 
 
-def _reduce(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    # Stack-based merge; cascaded cancellations resolve in one pass.
-    stack: list[tuple[int, int]] = []
+def _push(
+    stack: list[tuple[int, int]], pairs: Iterable[tuple[int, int]], held: DomainError | None
+) -> DomainError | None:
+    """Merge the syllables onto the reduced stack; cascaded cancellations
+    resolve in one pass.  Returns held, or if it is None the error of the
+    first merge past the exponent budget (merging goes on after it)."""
     for gen, exp in pairs:
-        if exp == 0:
+        if not exp:
             continue
         if stack and stack[-1][0] == gen:
-            merged = checked_exponent(stack[-1][1] + exp)
-            stack.pop()
-            if merged != 0:
-                stack.append((gen, merged))
+            exp += stack.pop()[1]
+            if held is None and exp.bit_length() > MAX_EXPONENT_BITS:
+                held = _over_budget(exp)
+            if exp:
+                stack.append((gen, exp))
         else:
             stack.append((gen, exp))
+    return held
+
+
+def _reduce(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    stack: list[tuple[int, int]] = []
+    held = _push(stack, pairs, None)
+    if held:
+        raise held
     return tuple(stack)
 
 
@@ -213,13 +234,6 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     return Word(out)
 
 
-def exponent_sums(w: Word, ngens: int) -> list[int]:
-    sums = [0] * ngens
-    for gen, exp in w.letters:
-        sums[gen] += exp
-    return sums
-
-
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse ``text`` over ``alphabet`` into a freely reduced Word.
 
@@ -228,71 +242,97 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     DomainError for an exponent past MAX_EXPONENT_BITS bits.
     """
     index = {name: i for i, name in enumerate(alphabet)}
+    # Only an ident term looks a name up: "" is the name of every other term.
+    index.pop("", None)
+    index.pop(")", None)
     longest = max(map(len, index), default=0)
-    letters: list[tuple[int, int]] = []
-    # One (enclosing letters, position of "(") entry per open parenthesis.
-    stack: list[tuple[list[tuple[int, int]], int]] = []
-    i = 0
-    while True:
-        m = TOKEN_RE.match(text, i)
-        if m is None:
-            i = SPACE_RE.match(text, i).end()
-            if i < len(text):
-                raise WordParseError(f"unexpected character {text[i]!r}", i)
-            if stack:
-                raise UnbalancedParenthesisError("unclosed parenthesis", stack[-1][1])
-            return Word(letters)
-        i = m.end()
-        opened, ident, _, caret, digits = m.groups()
-        if opened:
-            stack.append((letters, m.start("open")))
-            letters = []
+    # The reduced syllables of the innermost open group, and the first of
+    # its merges past the exponent budget, raised when the group closes so
+    # that a syntax error later in the group wins.  One (enclosing
+    # syllables, enclosing held error, term number of "(") per open group.
+    stack: list[tuple[int, int]] = []
+    held = None
+    frames: list[tuple[list[tuple[int, int]], DomainError | None, int]] = []
+    for k, (name, caret, digits, other) in enumerate(TERM_RE.findall(text)):
+        gen = index.get(name)
+        if gen is None:
+            if other == "(":
+                frames.append((stack, held, k))
+                stack, held = [], None
+                continue
+            if other:
+                raise WordParseError(f"unexpected character {other!r}", _term(text, k).start())
+            if name == ")":
+                if not frames:
+                    raise UnbalancedParenthesisError(
+                        "unmatched closing parenthesis", _term(text, k).start()
+                    )
+                if held:
+                    raise held
+                group = Word._make(tuple(stack))
+                stack, held, _ = frames.pop()
+                syllables = (group ** _exponent(text, k, caret, digits)).letters
+            else:
+                gens = _munch(text, k, name, index, longest)
+                syllables = [(g, 1) for g in gens[:-1]]
+                syllables.append((gens[-1], _exponent(text, k, caret, digits)))
+            held = _push(stack, syllables, held)
             continue
-        if ident is None:
-            if not stack:
-                raise UnbalancedParenthesisError(
-                    "unmatched closing parenthesis", m.start("close")
-                )
-            group = Word(letters)
-            letters = stack.pop()[0]
-        else:
-            gen = index.get(ident)
-            if gen is None:
-                # Maximal munch: the longest declared name at each offset.
-                start, stop = m.start("ident"), m.end("ident")
-                while True:
-                    size = min(longest, stop - start)
-                    while size and text[start : start + size] not in index:
-                        size -= 1
-                    if not size:
-                        name = IDENT_RE.match(text, start)
-                        if name:
-                            raise UnknownGeneratorError(
-                                f"unknown generator {name.group()!r}", start
-                            )
-                        raise WordParseError(f"unexpected character {text[start]!r}", start)
-                    gen = index[text[start : start + size]]
-                    start += size
-                    if start == stop:
-                        break
-                    letters.append((gen, 1))
-        if caret is None:
-            exp = 1
-        elif digits is None:
-            raise MalformedExponentError("malformed exponent", i)
-        else:
-            try:
-                exp = int(digits)
-            except ValueError:
-                raise DomainError(
-                    f"exponent has {len(digits.lstrip('-'))} digits, above the "
-                    f"limit of {sys.get_int_max_str_digits()} for integer conversion"
-                ) from None
-            checked_exponent(exp)
-        if ident is None:
-            letters.extend((group ** exp).letters)
+        # A declared generator: _push's step for one syllable, inline.
+        exp = _exponent(text, k, caret, digits) if caret else 1
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+            if held is None and exp.bit_length() > MAX_EXPONENT_BITS:
+                held = _over_budget(exp)
+            if exp:
+                stack.append((gen, exp))
         elif exp:
-            letters.append((gen, exp))
+            stack.append((gen, exp))
+    if frames:
+        raise UnbalancedParenthesisError("unclosed parenthesis", _term(text, frames[-1][2]).start())
+    if held:
+        raise held
+    return Word._make(tuple(stack))
+
+
+def _term(text: str, k: int) -> re.Match:
+    """Term number k of text, found again to name an error position."""
+    return next(islice(TERM_RE.finditer(text), k, None))
+
+
+def _exponent(text: str, k: int, caret: str, digits: str) -> int:
+    """The exponent of term number k: 1 without a caret."""
+    if not caret:
+        return 1
+    if not digits:
+        raise MalformedExponentError("malformed exponent", _term(text, k).end())
+    try:
+        exp = int(digits)
+    except ValueError:
+        raise DomainError(
+            f"exponent has {len(digits.lstrip('-'))} digits, above the "
+            f"limit of {sys.get_int_max_str_digits()} for integer conversion"
+        ) from None
+    return checked_exponent(exp)
+
+
+def _munch(text: str, k: int, name: str, index: dict[str, int], longest: int) -> list[int]:
+    """Generators of the ident ``name`` of term number k, split maximal
+    munch: the longest declared name at each offset."""
+    gens = []
+    start = 0
+    while start < len(name):
+        size = min(longest, len(name) - start)
+        while size and name[start : start + size] not in index:
+            size -= 1
+        if not size:
+            rest, at = name[start:], _term(text, k).start() + start
+            if IDENT_RE.match(rest):
+                raise UnknownGeneratorError(f"unknown generator {rest!r}", at)
+            raise WordParseError(f"unexpected character {rest[0]!r}", at)
+        gens.append(index[name[start : start + size]])
+        start += size
+    return gens
 
 
 def parse_pair(text: str, family: str) -> tuple[int, int]:

@@ -52,6 +52,29 @@ def test_snf_fixed_examples():
     assert smith_normal_form([[2, 4, 6], [-2, -4, -6], [0, 3, 0], [2, 4, 6]]) == [1, 6]
 
 
+def test_snf_sparse_rows_match_dense_rows():
+    # {column: value} rows in any key order, zeros included, give the
+    # factors of the dense matrix.
+    rng = random.Random(104729)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(ncols)]
+                  for _ in range(nrows)]
+        sparse = []
+        for values in matrix:
+            cells = list(enumerate(values))
+            rng.shuffle(cells)
+            sparse.append({j: v for j, v in cells if v or rng.random() < 0.5})
+        assert smith_normal_form(sparse) == smith_normal_form(matrix), matrix
+
+
+def test_abelianization_sums_repeated_syllables():
+    # Rows a^3 (b cancels), zero (a commutator) and b c^6: Z x Z/3.
+    gens = ("a", "b", "c")
+    relators = tuple(parse_word(t, gens) for t in ("a b a^2 b^-1", "a c a^-1 c^-1", "c^2 b c^4"))
+    assert abelianization(Presentation(gens, relators)) == Abelianization(1, (3,))
+
+
 def test_snf_divisibility_chain():
     rng = random.Random(7919)
     for _ in range(300):

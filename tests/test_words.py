@@ -14,7 +14,6 @@ from baumslag.words import (
     UnknownGeneratorError,
     Word,
     WordParseError,
-    exponent_sums,
     format_word,
     parse_word,
     substitute,
@@ -249,11 +248,10 @@ def test_word_operators_match_functions():
         assert u**-2 == ~u * ~u
 
 
-def test_substitute_and_exponent_sums():
+def test_substitute():
     w = parse_word("a b^2 a^-1", AB)
     images = [parse_word("b", AB), parse_word("a b", AB)]
     assert substitute(w, images) == parse_word("b (a b)^2 b^-1", AB)
-    assert exponent_sums(w, 2) == [0, 2]
 
 
 def test_presentation_validation():
@@ -320,7 +318,12 @@ def reference_parse(text, alphabet):
             i += 1
         if i == digits:
             raise MalformedExponentError("malformed exponent", start)
-        return int(text[start:i]), i
+        exp = int(text[start:i])
+        if exp.bit_length() > MAX_EXPONENT_BITS:
+            raise DomainError(
+                f"exponent has {exp.bit_length()} bits, above the limit of {MAX_EXPONENT_BITS}"
+            )
+        return exp, i
 
     def parse_sequence(i, open_at):
         letters = []
@@ -364,16 +367,39 @@ def parse_outcome(parse, text, alphabet):
         return parse(text, alphabet)
     except WordParseError as err:
         return type(err), err.position, str(err)
+    except DomainError as err:
+        return type(err), str(err)
 
 
+# Two of these merge one bit past MAX_EXPONENT_BITS; one more digit puts
+# the parsed exponent itself past it.
+HUGE = 2 ** (MAX_EXPONENT_BITS - 1)
 FUZZ_PIECES = {
-    ("a", "t"): ["a", "t", "tat", "at", "ta", "a1", "t_", "b", "zq", "A"],
-    ("e", "e_bar", "x1"): ["e", "e_bar", "x1", "e_ba", "ee_bar", "x", "x12", "e_barx1", "y"],
+    ("a", "t"): ["a", "t", "tat", "at", "ta", "a1", "t_", "b", "zq", "A", f"a^{HUGE}"],
+    ("e", "e_bar", "x1"): [
+        "e", "e_bar", "x1", "e_ba", "ee_bar", "x", "x12", "e_barx1", "y", f"e_bar^{HUGE}",
+    ],
 }
 COMMON_PIECES = [
     " ", "  ", "\t", "\n", "\xa0", "(", "(", ")", ")", "^", "^2", "^-3", " ^ 4",
-    "^ -1", "^-", "^ x", "-", "7", "_", "+", "^^2", "()",
+    "^ -1", "^-", "^ x", "-", "7", "_", "+", "^^2", "()", "(^2", f"^{HUGE}",
 ]
+
+
+def test_parse_budget_error_waits_for_its_group():
+    # A merge past the budget is raised when its group closes, or at the
+    # end of the text: a syntax error before that point wins.
+    twice = f"a^{HUGE} a^{HUGE}"
+    with pytest.raises(WordParseError) as info:
+        parse_word(f"{twice} %", AT)
+    assert info.value.position == len(twice) + 1
+    with pytest.raises(WordParseError) as info:
+        parse_word(f"({twice} %)", AT)
+    assert info.value.position == len(twice) + 2
+    with pytest.raises(DomainError, match=f"{MAX_EXPONENT_BITS + 1} bits, above the limit"):
+        parse_word(f"({twice}) %", AT)
+    for text in (f"{twice} %", f"({twice} %)", f"({twice}) %", f"({twice}", f"({twice})^x"):
+        assert parse_outcome(parse_word, text, AT) == parse_outcome(reference_parse, text, AT)
 
 
 @pytest.mark.parametrize("alphabet", list(FUZZ_PIECES), ids=["a_t", "e_ebar_x1"])
@@ -388,6 +414,30 @@ def test_parse_matches_reference(alphabet):
         failures += not isinstance(expected, Word)
     # The fuzz reaches both valid and malformed texts.
     assert 400 < failures < 3600
+
+
+def test_parse_matches_reference_near_the_budget():
+    # Nested texts whose merges pass the budget in groups and out, mostly
+    # with one fault put in before or after them.
+    rng = random.Random("parse:budget")
+
+    def term(depth):
+        if depth and rng.random() < 0.3:
+            atom = f"({' '.join(term(depth - 1) for _ in range(rng.randint(0, 3)))})"
+            return atom + rng.choice(["", "", "^2", "^-1"])
+        return rng.choice([f"a^{HUGE}", f"a^{HUGE}", f"a^-{HUGE}", "a", "t"])
+
+    outcomes = []
+    for _ in range(500):
+        text = " ".join(term(2) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.6:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(["%", "^x", "(", ")"]) + text[at:]
+        expected = parse_outcome(reference_parse, text, AT)
+        assert parse_outcome(parse_word, text, AT) == expected, text
+        outcomes.append(expected[0] if isinstance(expected, tuple) else Word)
+    assert outcomes.count(DomainError) > 40
+    assert len(outcomes) - outcomes.count(DomainError) - outcomes.count(Word) > 40
 
 
 @pytest.mark.parametrize("alphabet", list(FUZZ_PIECES), ids=["a_t", "e_ebar_x1"])

@@ -74,21 +74,20 @@ SWEEPS = {
         "                for g in ('a', 't') * (SIZE // 2))",
         "parse_word(text, ('a', 't'))",
     ),
-    # Relator exponent matrix of the raw pi_1 of a cycle of SIZE copies of Z
-    # glued by x_i^2 = x_(i+1)^3: about 4 SIZE rows over 3 SIZE columns.
+    # Abelianization (the exponent matrix and its Smith normal form) of the
+    # raw pi_1 of a cycle of SIZE copies of Z glued by x_i^2 = x_(i+1)^3:
+    # about 4 SIZE relators over 3 SIZE generators.
     "snf_raw_cycle_vertices": (
         [200, 400, 800, 1_600],
         "import json\n"
-        "from baumslag.abelianization import smith_normal_form\n"
+        "from baumslag.abelianization import abelianization\n"
         "from baumslag.graph_of_groups import fundamental_presentation, loads\n"
-        "from baumslag.words import exponent_sums\n"
         "edges = [{'id': f'e{i}', 'from': f'v{i}', 'to': f'v{(i + 1) % SIZE}',\n"
         "          'edge_generators': ['c'], 'alpha': [f'x{i}^2'],\n"
         "          'alpha_bar': [f'x{(i + 1) % SIZE}^3']} for i in range(SIZE)]\n"
         "vertices = {f'v{i}': {'generators': [f'x{i}'], 'relators': []} for i in range(SIZE)}\n"
-        "raw = fundamental_presentation(loads(json.dumps({'vertices': vertices, 'edges': edges}))).raw\n"
-        "matrix = [exponent_sums(r, len(raw.generators)) for r in raw.relators]",
-        "smith_normal_form(matrix)",
+        "raw = fundamental_presentation(loads(json.dumps({'vertices': vertices, 'edges': edges}))).raw",
+        "abelianization(raw)",
     ),
 }
 
