@@ -118,14 +118,6 @@ def _push(
     return held
 
 
-def _reduce(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    stack: list[tuple[int, int]] = []
-    held = _push(stack, pairs, None)
-    if held:
-        raise held
-    return tuple(stack)
-
-
 class Word:
     """A freely reduced word: a sequence of (generator index, exponent)
     syllables with nonzero exponents and distinct adjacent generators.
@@ -136,7 +128,11 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()):
-        object.__setattr__(self, "letters", _reduce(letters))
+        stack: list[tuple[int, int]] = []
+        held = _push(stack, letters, None)
+        if held:
+            raise held
+        object.__setattr__(self, "letters", tuple(stack))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -214,7 +210,7 @@ class Word:
                 )
             core = head + period * (k - 1) + tail
         # Adjacent generators differ at every seam, so the result is
-        # already reduced and skips _reduce.
+        # already reduced and skips the reduction of Word().
         return self._make(c + core + tuple((g, -e) for g, e in reversed(c)))
 
     def __repr__(self) -> str:
@@ -242,7 +238,8 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     DomainError for an exponent past MAX_EXPONENT_BITS bits.
     """
     index = {name: i for i, name in enumerate(alphabet)}
-    # Only an ident term looks a name up: "" is the name of every other term.
+    # Only idents name generators: "" is the name of every term that is
+    # not an ident or ")", and ")" closes a group.
     index.pop("", None)
     index.pop(")", None)
     longest = max(map(len, index), default=0)
