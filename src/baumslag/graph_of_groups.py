@@ -6,14 +6,24 @@ half-edge e has an inverse ``inv(e) != e`` and an origin vertex; the
 terminus of e is the origin of inv(e).  ``SerreGraph`` is built only
 from (id, from, to) edge triples: the edge ``id`` gives the half-edge
 ``id`` and its reverse ``id_bar``, so these invariants hold by
-construction, and a repeated id (or an ``id`` that is another edge's
-``id_bar``) raises GogValidationError.  A graph of groups attaches a
-finite presentation to each vertex, an abstract generator list to each
-edge pair, and for each half-edge e a boundary map sending every edge
-generator to a word in the generators of the origin vertex of e.
-``validate`` checks what the edge triples do not fix: identifiers,
-declared origins, connectivity, and that the groups, edge generators
-and boundary words fit the graph.
+construction.  A graph of groups attaches a finite presentation to each
+vertex, an abstract generator list to each edge pair, and for each
+half-edge e a boundary map sending every edge generator to a word in
+the generators of the origin vertex of e.
+
+Every per-edge rule is checked once, by the constructors, which raise
+GogFileError with the path of the field as a document would spell it:
+``SerreGraph`` checks that vertex and edge ids are identifiers
+(``vertices.<id>``, ``edges[i].id``), that no id repeats, counting
+``id_bar`` (``edges[i].id``), and that both endpoints are vertices
+(``edges[i].from`` / ``.to``); ``GraphOfGroups`` checks that every
+vertex has a group (``vertices.<id>``) and every edge its generators
+(``edges[i]``), one boundary image per edge generator on each side
+(``edges[i].alpha`` / ``.alpha_bar``), and that each image uses only its
+origin's generators (``edges[i].alpha[j]``).  ``validate`` keeps what
+construction cannot fix: a graph with no vertices, or one that is not
+connected.  Operations that need a valid graph of groups raise
+GogValidationError with that list.
 
 ``fundamental_presentation`` realises the group of the whole diagram
 relative to a maximal subtree: generators are all vertex generators
@@ -33,6 +43,12 @@ edge_generators, alpha, alpha_bar}); loops are allowed.  Keys outside
 these are ignored.
 The reverse half-edge of edge ``id`` is named ``id_bar``.  Schema
 violations raise GogFileError with the JSON path of the offending field.
+``loads`` checks JSON types only, builds the ``SerreGraph``, parses the
+words over the alphabets of their vertices and builds the
+``GraphOfGroups``; so when a document has several faults, the first
+reported is in this order: JSON typing (vertices, then edges, each in
+document order), the graph, the words (vertex generator names and
+relators, then boundary images), then the image counts.
 """
 
 from __future__ import annotations
@@ -59,7 +75,10 @@ BOUNDARY_INJECTIVITY_ASSUMPTION = (
 
 class GogFileError(ValueError):
     """Schema violation in a graph-of-groups document; ``path`` locates
-    the offending field (JSON path, or line/column for syntax errors)."""
+    the offending field (JSON path, or line/column for syntax errors).
+    The constructors raise it too, so for a ``SerreGraph`` or
+    ``GraphOfGroups`` built directly the path locates the field as the
+    document would hold it: ``edges[i]`` is the i-th edge triple."""
 
     def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}")
@@ -67,8 +86,8 @@ class GogFileError(ValueError):
 
 
 class GogValidationError(ValueError):
-    """Raised when an operation requires a valid graph of groups, or when
-    edge triples repeat an id; carries the violation list."""
+    """Raised when an operation requires a valid graph of groups (one
+    with vertices, connected); carries the violation list."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
@@ -79,16 +98,31 @@ class SerreGraph:
     """Vertices plus oriented half-edges, built from edge triples: the
     edge (e, u, v) gives the half-edge e from u to v and its reverse
     e_bar from v to u.  So ``inv`` is an involution without fixed points
-    and every half-edge has an origin, by construction."""
+    and every half-edge has an origin, by construction.  ``edges`` keeps
+    the edge ids in input order; each is the key of its pair."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
+        # Each check formats its path only on failure (one runs per vertex
+        # or edge), so the constructors raise instead of calling _expect.
+        vertices = tuple(vertices)
+        for v in vertices:
+            if not IDENT_RE.fullmatch(v):
+                raise GogFileError("vertex id is not an identifier", f"vertices.{v}")
         self.vertices = tuple(sorted(vertices))
+        known = set(vertices)
+        self.edges: list[str] = []
         self.inv: dict[str, str] = {}
         self.origin: dict[str, str] = {}
-        for eid, frm, to in edges:
+        for i, (eid, frm, to) in enumerate(edges):
             bar = eid + "_bar"
+            if not IDENT_RE.fullmatch(eid):
+                raise GogFileError("edge id is not an identifier", f"edges[{i}].id")
             if eid in self.inv or bar in self.inv:
-                raise GogValidationError([f"duplicate edge id {eid!r}"])
+                raise GogFileError("duplicate edge id", f"edges[{i}].id")
+            for field_name, v in (("from", frm), ("to", to)):
+                if v not in known:
+                    raise GogFileError(f"unknown vertex {v!r}", f"edges[{i}].{field_name}")
+            self.edges.append(eid)
             self.inv[eid] = bar
             self.inv[bar] = eid
             self.origin[eid] = frm
@@ -109,7 +143,8 @@ class SerreGraph:
         return min(e, self.inv[e])
 
     def edge_pairs(self) -> tuple[str, ...]:
-        return tuple(sorted({self.pair_key(e) for e in self.inv}))
+        # min(e, e + "_bar") == e, so the edge ids are the pair keys.
+        return tuple(sorted(self.edges))
 
     def reach(
         self, root: str, follow: Callable[[str], bool] = lambda e: True
@@ -146,7 +181,10 @@ def spanning_tree(graph: SerreGraph) -> frozenset[str]:
 
 class GraphOfGroups:
     """A Serre graph with vertex presentations, edge generator lists
-    (shared by the two half-edges of a pair) and boundary words."""
+    (shared by the two half-edges of a pair, keyed by edge id) and
+    boundary words (keyed by half-edge).  Only the entries of the
+    graph's own vertices and edges are kept; a missing boundary entry
+    counts as no images."""
 
     def __init__(
         self,
@@ -155,75 +193,38 @@ class GraphOfGroups:
         edge_generators: Mapping[str, tuple[str, ...]],
         boundary: Mapping[str, tuple[Word, ...]],
     ):
+        for v in graph.vertices:
+            if v not in vertex_groups:
+                raise GogFileError("vertex has no group", f"vertices.{v}")
         self.graph = graph
-        self.vertex_groups = dict(vertex_groups)
-        self.edge_generators = {k: tuple(v) for k, v in edge_generators.items()}
-        self.boundary = {k: tuple(v) for k, v in boundary.items()}
+        self.vertex_groups = {v: vertex_groups[v] for v in graph.vertices}
+        self.edge_generators: dict[str, tuple[str, ...]] = {}
+        self.boundary: dict[str, tuple[Word, ...]] = {}
+        for i, eid in enumerate(graph.edges):
+            if eid not in edge_generators:
+                raise GogFileError("missing 'edge_generators'", f"edges[{i}]")
+            gens = self.edge_generators[eid] = tuple(edge_generators[eid])
+            for e, side in ((eid, "alpha"), (graph.inv[eid], "alpha_bar")):
+                words = self.boundary[e] = tuple(boundary.get(e, ()))
+                if len(words) != len(gens):
+                    message = f"'{side}' must list one image per edge generator"
+                    raise GogFileError(message, f"edges[{i}].{side}")
+                n = len(self.vertex_groups[graph.origin[e]].generators)
+                for j, w in enumerate(words):
+                    for gen, _ in w.letters:
+                        if not 0 <= gen < n:
+                            message = "image uses a generator outside the origin vertex group"
+                            raise GogFileError(message, f"edges[{i}].{side}[{j}]")
 
 
 def validate(gog: GraphOfGroups) -> list[str]:
-    """Structural check; returns human-readable violations (empty iff the
-    graph of groups is well formed).
-
-    Half-edges come in reverse pairs with an origin each by construction
-    of ``SerreGraph``, so what is checked is: identifiers, that every
-    origin is a declared vertex, connectivity (when it is), a group for
-    every vertex, edge generators for exactly the edge pairs, and one
-    boundary word per edge generator over its origin's generators (when
-    every origin is declared).  Injectivity of the boundary maps is
-    assumed, never checked."""
-    out: list[str] = []
-    g = gog.graph
-    if not g.vertices:
-        out.append("graph has no vertices")
-    for v in g.vertices:
-        if not IDENT_RE.fullmatch(v):
-            out.append(f"vertex id {v!r} is not an identifier")
-    stray = {e for e in g.half_edges if g.origin[e] not in g.vertices}
-    for e in g.half_edges:
-        if not IDENT_RE.fullmatch(e):
-            out.append(f"half-edge id {e!r} is not an identifier")
-        if e in stray:
-            out.append(f"origin of {e!r} is not a declared vertex")
-    if not stray and g.vertices and not g.is_connected():
-        out.append("graph is not connected")
-    for v in g.vertices:
-        if v not in gog.vertex_groups:
-            out.append(f"vertex {v!r} has no group")
-    if stray:
-        return out
-    pairs = set(g.edge_pairs())
-    declared = set(gog.edge_generators)
-    for missing in sorted(pairs - declared):
-        out.append(f"edge pair {missing!r} has no edge generators entry")
-    for extra in sorted(declared - pairs):
-        out.append(f"edge generators declared for unknown pair {extra!r}")
-    for e in g.half_edges:
-        key = g.pair_key(e)
-        if key not in gog.edge_generators:
-            continue
-        words = gog.boundary.get(e)
-        if words is None:
-            out.append(f"half-edge {e!r} has no boundary images")
-            continue
-        if len(words) != len(gog.edge_generators[key]):
-            out.append(
-                f"half-edge {e!r} has {len(words)} boundary images for "
-                f"{len(gog.edge_generators[key])} edge generators"
-            )
-            continue
-        pres = gog.vertex_groups.get(g.origin[e])
-        if pres is None:
-            continue
-        for i, w in enumerate(words):
-            for gen, _ in w.letters:
-                if not 0 <= gen < len(pres.generators):
-                    out.append(
-                        f"boundary image {i} of half-edge {e!r} uses a "
-                        f"generator outside the origin vertex group"
-                    )
-                    break
-    return out
+    """What construction cannot fix: the violations that keep ``gog``
+    from presenting a fundamental group (empty iff it has vertices and
+    is connected).  Injectivity of the boundary maps is assumed, never
+    checked."""
+    if not gog.graph.vertices:
+        return ["graph has no vertices"]
+    return [] if gog.graph.is_connected() else ["graph is not connected"]
 
 
 def _require_valid(gog: GraphOfGroups) -> None:
@@ -447,13 +448,13 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
             component[u] = root
 
     def collapse_component(root: str) -> tuple[Presentation, Mapping[str, tuple[str, ...]]]:
-        vertices = sorted(v for v, r in component.items() if r == root)
+        vertices = [v for v, r in component.items() if r == root]
         pairs = [p for p in g.edge_pairs() if p != keep and component[g.origin[p]] == root]
         sub = GraphOfGroups(
             SerreGraph(vertices, [(p, g.origin[p], g.terminus(p)) for p in pairs]),
-            {v: gog.vertex_groups[v] for v in vertices},
-            {p: gog.edge_generators[p] for p in pairs},
-            {e: gog.boundary[e] for p in pairs for e in (p, g.inv[p])},
+            gog.vertex_groups,
+            gog.edge_generators,
+            gog.boundary,
         )
         pi1 = fundamental_presentation(sub)
         return pi1.simplified, pi1.vertex_gen_names
@@ -481,7 +482,7 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
     new_gog = GraphOfGroups(
         SerreGraph(sorted({root_a, root_b}), [(keep, root_a, root_b)]),
         presentations,
-        {keep: gog.edge_generators[keep]},
+        gog.edge_generators,
         {keep: rewrite(keep), keep_bar: rewrite(keep_bar)},
     )
     return CollapsedSplitting(kind=kind, gog=new_gog)
@@ -519,7 +520,8 @@ def _words(texts: list, alphabet: Sequence[str], path: str) -> list[Word]:
 
 
 def loads(text: str) -> GraphOfGroups:
-    """Parse a graph-of-groups JSON document."""
+    """Parse a graph-of-groups JSON document; of several faults, the one
+    first in the order of the module docstring is reported."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -532,25 +534,12 @@ def loads(text: str) -> GraphOfGroups:
     _expect(isinstance(doc["vertices"], dict), "'vertices' must be an object", "vertices")
     _expect(isinstance(doc["edges"], list), "'edges' must be a list", "edges")
 
-    vertex_groups: dict[str, Presentation] = {}
+    vertex_texts: dict[str, tuple[list, list]] = {}
     for vid, body in doc["vertices"].items():
         path = f"vertices.{vid}"
-        _expect(bool(IDENT_RE.fullmatch(vid)), "vertex id is not an identifier", path)
         _expect(isinstance(body, dict), "vertex body must be an object", path)
-        gens = _strings(body, "generators", path)
-        rels = _strings(body, "relators", path)
-        # Names are checked first: the parser tokenises identifiers only.
-        try:
-            Presentation(tuple(gens), ())
-        except ValueError as err:
-            raise GogFileError(str(err), f"{path}.generators") from None
-        relators = _words(rels, gens, f"{path}.relators")
-        vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
-
-    edge_triples: list[tuple[str, str, str]] = []
-    edge_generators: dict[str, tuple[str, ...]] = {}
-    boundary: dict[str, tuple[Word, ...]] = {}
-    seen_ids: set[str] = set()
+        vertex_texts[vid] = (_strings(body, "generators", path), _strings(body, "relators", path))
+    edge_texts: list[tuple[list, list, list]] = []
     for idx, entry in enumerate(doc["edges"]):
         path = f"edges[{idx}]"
         _expect(isinstance(entry, dict), "edge entry must be an object", path)
@@ -561,34 +550,29 @@ def loads(text: str) -> GraphOfGroups:
                 f"'{field_name}' must be a string",
                 f"{path}.{field_name}",
             )
-        eid = entry["id"]
-        _expect(bool(IDENT_RE.fullmatch(eid)), "edge id is not an identifier", f"{path}.id")
-        bar = eid + "_bar"
-        _expect(eid not in seen_ids and bar not in seen_ids, "duplicate edge id", f"{path}.id")
-        seen_ids.update({eid, bar})
-        for field_name in ("from", "to"):
-            _expect(
-                entry[field_name] in vertex_groups,
-                f"unknown vertex {entry[field_name]!r}",
-                f"{path}.{field_name}",
-            )
-        gens = _strings(entry, "edge_generators", path)
-        words: dict[str, list[Word]] = {}
-        for side, vertex_field in (("alpha", "from"), ("alpha_bar", "to")):
-            texts = _strings(entry, side, path)
-            _expect(
-                len(texts) == len(gens),
-                f"'{side}' must list one image per edge generator",
-                f"{path}.{side}",
-            )
-            alphabet = vertex_groups[entry[vertex_field]].generators
-            words[side] = _words(texts, alphabet, f"{path}.{side}")
-        edge_triples.append((eid, entry["from"], entry["to"]))
-        edge_generators[min(eid, bar)] = tuple(gens)
-        boundary[eid] = tuple(words["alpha"])
-        boundary[bar] = tuple(words["alpha_bar"])
+        edge_texts.append(
+            tuple(_strings(entry, key, path) for key in ("edge_generators", "alpha", "alpha_bar"))
+        )
 
-    graph = SerreGraph(list(doc["vertices"]), edge_triples)
+    graph = SerreGraph(doc["vertices"], [(e["id"], e["from"], e["to"]) for e in doc["edges"]])
+
+    vertex_groups: dict[str, Presentation] = {}
+    for vid, (gens, rels) in vertex_texts.items():
+        path = f"vertices.{vid}"
+        # Names are checked first: the parser tokenises identifiers only.
+        try:
+            Presentation(tuple(gens), ())
+        except ValueError as err:
+            raise GogFileError(str(err), f"{path}.generators") from None
+        relators = _words(rels, gens, f"{path}.relators")
+        vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
+    edge_generators: dict[str, list[str]] = {}
+    boundary: dict[str, list[Word]] = {}
+    for idx, (eid, (gens, alpha, alpha_bar)) in enumerate(zip(graph.edges, edge_texts)):
+        edge_generators[eid] = gens
+        for e, texts, side in ((eid, alpha, "alpha"), (graph.inv[eid], alpha_bar, "alpha_bar")):
+            alphabet = vertex_groups[graph.origin[e]].generators
+            boundary[e] = _words(texts, alphabet, f"edges[{idx}].{side}")
     return GraphOfGroups(graph, vertex_groups, edge_generators, boundary)
 
 

@@ -53,24 +53,27 @@ def test_serre_graph_rejects_duplicate_edge_ids():
         [("x", "v", "w"), ("x_bar", "w", "v")],
         [("x_bar", "w", "v"), ("x", "v", "w")],
     ):
-        with pytest.raises(GogValidationError) as err:
+        with pytest.raises(GogFileError) as err:
             SerreGraph(["v", "w"], edges)
-        assert err.value.violations == [f"duplicate edge id {edges[1][0]!r}"]
+        assert str(err.value) == "edges[1].id: duplicate edge id"
 
 
-def test_validate_undeclared_origin():
-    # Connectivity and the edge-pair checks are skipped while an origin is
-    # undeclared, so the missing edge generators of 'e' are not reported.
-    graph = SerreGraph(["v"], [("e", "v", "w")])
-    gog = GraphOfGroups(graph, {"v": z_vertex()}, {}, {})
-    assert validate(gog) == ["origin of 'e_bar' is not a declared vertex"]
+def test_serre_graph_rejects_unknown_endpoint():
+    with pytest.raises(GogFileError) as err:
+        SerreGraph(["v"], [("e", "v", "w")])
+    assert str(err.value) == "edges[0].to: unknown vertex 'w'"
+    with pytest.raises(GogFileError) as err:
+        SerreGraph(["v"], [("f", "v", "v"), ("e", "w", "v")])
+    assert str(err.value) == "edges[1].from: unknown vertex 'w'"
 
 
 def test_validate_foreign_generator_in_boundary():
-    gog = single_loop_gog()
-    gog.boundary["e"] = (Word([(7, 1)]),)
-    problems = validate(gog)
-    assert any("outside the origin vertex group" in p for p in problems)
+    graph = SerreGraph(["v"], [("e", "v", "v")])
+    boundary = {"e": (Word([(7, 1)]),), "e_bar": (Word([(0, 1)]),)}
+    with pytest.raises(GogFileError) as err:
+        GraphOfGroups(graph, {"v": z_vertex()}, {"e": ("c",)}, boundary)
+    assert err.value.path == "edges[0].alpha[0]"
+    assert "outside the origin vertex group" in str(err.value)
 
 
 def test_validate_disconnected():
@@ -176,11 +179,19 @@ def test_pi1_tree_override_and_validation():
 
 
 def test_pi1_requires_valid_gog():
-    graph = SerreGraph(["v"], [("e", "w", "v")])
-    gog = GraphOfGroups(graph, {"v": z_vertex()}, {}, {})
-    with pytest.raises(GogValidationError) as err:
-        fundamental_presentation(gog)
-    assert err.value.violations == ["origin of 'e' is not a declared vertex"]
+    disconnected = GraphOfGroups(
+        SerreGraph(["u", "v", "w"], [("e", "u", "v")]),
+        {"u": z_vertex(), "v": z_vertex("b"), "w": z_vertex("c")},
+        {"e": ()},
+        {},
+    )
+    empty = GraphOfGroups(SerreGraph([], []), {}, {}, {})
+    cases = ((disconnected, "graph is not connected"), (empty, "graph has no vertices"))
+    for gog, violation in cases:
+        for run in (fundamental_presentation, lambda g: collapse_all_but_one(g, "e")):
+            with pytest.raises(GogValidationError) as err:
+                run(gog)
+            assert err.value.violations == [violation]
 
 
 def test_collapse_identity_on_one_edge_graph():
@@ -320,6 +331,161 @@ def test_loads_duplicate_edge_id():
     with pytest.raises(GogFileError) as info:
         loads(json.dumps(doc))
     assert info.value.path == "edges[1].id"
+
+
+def _rename_vertex(doc):
+    doc["vertices"]["3v"] = doc["vertices"].pop("v3")
+    doc["edges"][1]["to"] = "3v"
+
+
+def _set(path, value):
+    """A fault that sets doc[...][key] = value, path given as keys."""
+
+    def apply(doc):
+        *outer, key = path
+        for step in outer:
+            doc = doc[step]
+        doc[key] = value
+
+    return apply
+
+
+def _delete(path):
+    def apply(doc):
+        *outer, key = path
+        for step in outer:
+            doc = doc[step]
+        del doc[key]
+
+    return apply
+
+
+# One fault each on the path_two_edges fixture, with the exact error.
+SINGLE_FAULTS = {
+    "vertex_id": (_rename_vertex, "vertices.3v: vertex id is not an identifier"),
+    "edge_id": (_set(("edges", 1, "id"), "2e"), "edges[1].id: edge id is not an identifier"),
+    "repeated_id": (_set(("edges", 1, "id"), "e1"), "edges[1].id: duplicate edge id"),
+    "id_is_a_bar": (_set(("edges", 1, "id"), "e1_bar"), "edges[1].id: duplicate edge id"),
+    "unknown_from": (_set(("edges", 1, "from"), "v9"), "edges[1].from: unknown vertex 'v9'"),
+    "unknown_to": (_set(("edges", 0, "to"), "v9"), "edges[0].to: unknown vertex 'v9'"),
+    "short_alpha": (
+        _set(("edges", 0, "alpha"), []),
+        "edges[0].alpha: 'alpha' must list one image per edge generator",
+    ),
+    "long_alpha_bar": (
+        _set(("edges", 1, "alpha_bar"), ["c^2", "c"]),
+        "edges[1].alpha_bar: 'alpha_bar' must list one image per edge generator",
+    ),
+    "unknown_generator": (
+        _set(("edges", 0, "alpha"), ["c"]),
+        "edges[0].alpha[0]: unknown generator 'c' (at position 0)",
+    ),
+    "malformed_image": (
+        _set(("edges", 1, "alpha_bar"), ["c^"]),
+        "edges[1].alpha_bar[0]: malformed exponent (at position 2)",
+    ),
+    "edge_generators_not_a_list": (
+        _set(("edges", 0, "edge_generators"), "s"),
+        "edges[0].edge_generators: 'edge_generators' must be a list of strings",
+    ),
+    "missing_from": (_delete(("edges", 1, "from")), "edges[1]: missing 'from'"),
+    "bad_relator": (
+        _set(("vertices", "v2", "relators"), ["b^x"]),
+        "vertices.v2.relators[0]: malformed exponent (at position 2)",
+    ),
+    "repeated_vertex_generator": (
+        _set(("vertices", "v1", "generators"), ["a", "a"]),
+        "vertices.v1.generators: duplicate generator 'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+def test_loads_single_fault_message(fault):
+    apply, message = SINGLE_FAULTS[fault]
+    doc = json.loads(fixture_text("path_two_edges"))
+    apply(doc)
+    with pytest.raises(GogFileError) as info:
+        loads(json.dumps(doc))
+    assert str(info.value) == message
+
+
+# Four faults, listed in the order loads reports them: JSON typing, the
+# graph, the words, the image counts.  Each fault sits on a later edge
+# than the next one, so an edge-by-edge check would report another first.
+ORDERED_FAULTS = [
+    _set(("edges", 1, "edge_generators"), "u"),
+    _set(("edges", 0, "to"), "v9"),
+    _set(("edges", 1, "alpha_bar"), ["a"]),
+    _set(("edges", 0, "alpha"), []),
+]
+ORDERED_MESSAGES = [
+    "edges[1].edge_generators: 'edge_generators' must be a list of strings",
+    "edges[0].to: unknown vertex 'v9'",
+    "edges[1].alpha_bar[0]: unknown generator 'a' (at position 0)",
+    "edges[0].alpha: 'alpha' must list one image per edge generator",
+]
+
+
+@pytest.mark.parametrize("first", range(len(ORDERED_FAULTS)))
+def test_loads_reports_faults_in_documented_order(first):
+    doc = json.loads(fixture_text("path_two_edges"))
+    for apply in ORDERED_FAULTS[first:]:
+        apply(doc)
+    with pytest.raises(GogFileError) as info:
+        loads(json.dumps(doc))
+    assert str(info.value) == ORDERED_MESSAGES[first]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SerreGraph(["v", "2w"], []), "vertices.2w: vertex id is not an identifier"),
+        (
+            lambda: SerreGraph(["v"], [("e'", "v", "v")]),
+            "edges[0].id: edge id is not an identifier",
+        ),
+        (
+            lambda: GraphOfGroups(SerreGraph(["v", "w"], []), {"v": z_vertex()}, {}, {}),
+            "vertices.w: vertex has no group",
+        ),
+        (
+            lambda: GraphOfGroups(SerreGraph(["v"], [("e", "v", "v")]), {"v": z_vertex()}, {}, {}),
+            "edges[0]: missing 'edge_generators'",
+        ),
+        (
+            lambda: GraphOfGroups(
+                SerreGraph(["v"], [("e", "v", "v")]), {"v": z_vertex()}, {"e": ("c",)},
+                {"e": (Word([(0, 1)]),)},
+            ),
+            "edges[0].alpha_bar: 'alpha_bar' must list one image per edge generator",
+        ),
+        (
+            lambda: GraphOfGroups(
+                SerreGraph(["v"], [("e", "v", "v")]), {"v": z_vertex()}, {"e": ("c",)},
+                {"e": (Word([(0, 1)]),), "e_bar": (Word([(0, 2), (-1, 1)]),)},
+            ),
+            "edges[0].alpha_bar[0]: image uses a generator outside the origin vertex group",
+        ),
+    ],
+)
+def test_constructors_locate_faults_of_direct_callers(build, message):
+    with pytest.raises(GogFileError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_graph_of_groups_keeps_only_its_own_entries():
+    gog = GraphOfGroups(
+        SerreGraph(["v"], [("e", "v", "v")]),
+        {"v": z_vertex(), "u": z_vertex("b")},
+        {"e": ("c",), "f": ("d",)},
+        {"e": (Word([(0, 1)]),), "e_bar": (Word([(0, 1)]),), "f": ()},
+    )
+    assert list(gog.vertex_groups) == ["v"]
+    assert gog.edge_generators == {"e": ("c",)}
+    assert sorted(gog.boundary) == ["e", "e_bar"]
+    assert validate(gog) == []
 
 
 def _letter_key(w):

@@ -89,6 +89,19 @@ SWEEPS = {
         "raw = fundamental_presentation(loads(json.dumps({'vertices': vertices, 'edges': edges}))).raw",
         "abelianization(raw)",
     ),
+    # fundamental_presentation (validate, spanning tree, raw and simplified
+    # relators) of the same cycle, loaded before the clock starts.
+    "pi1_cycle_vertices": (
+        [800, 1_600, 3_200, 6_400],
+        "import json\n"
+        "from baumslag.graph_of_groups import fundamental_presentation, loads\n"
+        "edges = [{'id': f'e{i}', 'from': f'v{i}', 'to': f'v{(i + 1) % SIZE}',\n"
+        "          'edge_generators': ['c'], 'alpha': [f'x{i}^2'],\n"
+        "          'alpha_bar': [f'x{(i + 1) % SIZE}^3']} for i in range(SIZE)]\n"
+        "vertices = {f'v{i}': {'generators': [f'x{i}'], 'relators': []} for i in range(SIZE)}\n"
+        "gog = loads(json.dumps({'vertices': vertices, 'edges': edges}))",
+        "fundamental_presentation(gog)",
+    ),
 }
 
 
