@@ -338,63 +338,47 @@ def _rename_vertex(doc):
     doc["edges"][1]["to"] = "3v"
 
 
-def _set(path, value):
-    """A fault that sets doc[...][key] = value, path given as keys."""
-
-    def apply(doc):
-        *outer, key = path
-        for step in outer:
-            doc = doc[step]
-        doc[key] = value
-
-    return apply
-
-
-def _delete(path):
-    def apply(doc):
-        *outer, key = path
-        for step in outer:
-            doc = doc[step]
-        del doc[key]
-
-    return apply
-
-
 # One fault each on the path_two_edges fixture, with the exact error.
 SINGLE_FAULTS = {
     "vertex_id": (_rename_vertex, "vertices.3v: vertex id is not an identifier"),
-    "edge_id": (_set(("edges", 1, "id"), "2e"), "edges[1].id: edge id is not an identifier"),
-    "repeated_id": (_set(("edges", 1, "id"), "e1"), "edges[1].id: duplicate edge id"),
-    "id_is_a_bar": (_set(("edges", 1, "id"), "e1_bar"), "edges[1].id: duplicate edge id"),
-    "unknown_from": (_set(("edges", 1, "from"), "v9"), "edges[1].from: unknown vertex 'v9'"),
-    "unknown_to": (_set(("edges", 0, "to"), "v9"), "edges[0].to: unknown vertex 'v9'"),
+    "edge_id": (
+        lambda d: d["edges"][1].update(id="2e"),
+        "edges[1].id: edge id is not an identifier",
+    ),
+    "repeated_id": (lambda d: d["edges"][1].update(id="e1"), "edges[1].id: duplicate edge id"),
+    "id_is_a_bar": (lambda d: d["edges"][1].update(id="e1_bar"), "edges[1].id: duplicate edge id"),
+    "unknown_from": (
+        lambda d: d["edges"][1].update({"from": "v9"}),
+        "edges[1].from: unknown vertex 'v9'",
+    ),
+    "unknown_to": (lambda d: d["edges"][0].update(to="v9"), "edges[0].to: unknown vertex 'v9'"),
     "short_alpha": (
-        _set(("edges", 0, "alpha"), []),
+        lambda d: d["edges"][0].update(alpha=[]),
         "edges[0].alpha: 'alpha' must list one image per edge generator",
     ),
     "long_alpha_bar": (
-        _set(("edges", 1, "alpha_bar"), ["c^2", "c"]),
+        lambda d: d["edges"][1].update(alpha_bar=["c^2", "c"]),
         "edges[1].alpha_bar: 'alpha_bar' must list one image per edge generator",
     ),
     "unknown_generator": (
-        _set(("edges", 0, "alpha"), ["c"]),
+        lambda d: d["edges"][0].update(alpha=["c"]),
         "edges[0].alpha[0]: unknown generator 'c' (at position 0)",
     ),
     "malformed_image": (
-        _set(("edges", 1, "alpha_bar"), ["c^"]),
+        lambda d: d["edges"][1].update(alpha_bar=["c^"]),
         "edges[1].alpha_bar[0]: malformed exponent (at position 2)",
     ),
     "edge_generators_not_a_list": (
-        _set(("edges", 0, "edge_generators"), "s"),
+        lambda d: d["edges"][0].update(edge_generators="s"),
         "edges[0].edge_generators: 'edge_generators' must be a list of strings",
     ),
-    "missing_from": (_delete(("edges", 1, "from")), "edges[1]: missing 'from'"),
+    "missing_from": (lambda d: d["edges"][1].pop("from"), "edges[1]: missing 'from'"),
     "bad_relator": (
-        _set(("vertices", "v2", "relators"), ["b^x"]),
+        lambda d: d["vertices"]["v2"].update(relators=["b^x"]),
         "vertices.v2.relators[0]: malformed exponent (at position 2)",
     ),
     "repeated_vertex_generator": (
-        _set(("vertices", "v1", "generators"), ["a", "a"]),
+        lambda d: d["vertices"]["v1"].update(generators=["a", "a"]),
         "vertices.v1.generators: duplicate generator 'a'",
     ),
 }
@@ -414,10 +398,10 @@ def test_loads_single_fault_message(fault):
 # graph, the words, the image counts.  Each fault sits on a later edge
 # than the next one, so an edge-by-edge check would report another first.
 ORDERED_FAULTS = [
-    _set(("edges", 1, "edge_generators"), "u"),
-    _set(("edges", 0, "to"), "v9"),
-    _set(("edges", 1, "alpha_bar"), ["a"]),
-    _set(("edges", 0, "alpha"), []),
+    lambda d: d["edges"][1].update(edge_generators="u"),
+    lambda d: d["edges"][0].update(to="v9"),
+    lambda d: d["edges"][1].update(alpha_bar=["a"]),
+    lambda d: d["edges"][0].update(alpha=[]),
 ]
 ORDERED_MESSAGES = [
     "edges[1].edge_generators: 'edge_generators' must be a list of strings",
