@@ -43,12 +43,14 @@ edge_generators, alpha, alpha_bar}); loops are allowed.  Keys outside
 these are ignored.
 The reverse half-edge of edge ``id`` is named ``id_bar``.  Schema
 violations raise GogFileError with the JSON path of the offending field.
-``loads`` checks JSON types only, builds the ``SerreGraph``, parses the
-words over the alphabets of their vertices and builds the
-``GraphOfGroups``; so when a document has several faults, the first
-reported is in this order: JSON typing (vertices, then edges, each in
-document order), the graph, the words (vertex generator names and
-relators, then boundary images), then the image counts.
+``loads`` checks JSON types and reads each vertex presentation, types
+the edges, builds the ``SerreGraph``, parses the boundary words over the
+alphabets of their origins and builds the ``GraphOfGroups``.  So when a
+document has several faults, the first reported is in this order: the
+vertices in document order (JSON types, generator names, relators), the
+edges' JSON types in document order, the graph (vertex ids, then edge
+ids, repeats and endpoints edge by edge), the boundary words, and last
+the image counts.
 """
 
 from __future__ import annotations
@@ -534,11 +536,19 @@ def loads(text: str) -> GraphOfGroups:
     _expect(isinstance(doc["vertices"], dict), "'vertices' must be an object", "vertices")
     _expect(isinstance(doc["edges"], list), "'edges' must be a list", "edges")
 
-    vertex_texts: dict[str, tuple[list, list]] = {}
+    vertex_groups: dict[str, Presentation] = {}
     for vid, body in doc["vertices"].items():
         path = f"vertices.{vid}"
         _expect(isinstance(body, dict), "vertex body must be an object", path)
-        vertex_texts[vid] = (_strings(body, "generators", path), _strings(body, "relators", path))
+        gens = _strings(body, "generators", path)
+        rels = _strings(body, "relators", path)
+        # Names are checked first: the parser tokenises identifiers only.
+        try:
+            Presentation(tuple(gens), ())
+        except ValueError as err:
+            raise GogFileError(str(err), f"{path}.generators") from None
+        relators = _words(rels, gens, f"{path}.relators")
+        vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
     edge_texts: list[tuple[list, list, list]] = []
     for idx, entry in enumerate(doc["edges"]):
         path = f"edges[{idx}]"
@@ -556,16 +566,6 @@ def loads(text: str) -> GraphOfGroups:
 
     graph = SerreGraph(doc["vertices"], [(e["id"], e["from"], e["to"]) for e in doc["edges"]])
 
-    vertex_groups: dict[str, Presentation] = {}
-    for vid, (gens, rels) in vertex_texts.items():
-        path = f"vertices.{vid}"
-        # Names are checked first: the parser tokenises identifiers only.
-        try:
-            Presentation(tuple(gens), ())
-        except ValueError as err:
-            raise GogFileError(str(err), f"{path}.generators") from None
-        relators = _words(rels, gens, f"{path}.relators")
-        vertex_groups[vid] = Presentation(tuple(gens), tuple(relators))
     edge_generators: dict[str, list[str]] = {}
     boundary: dict[str, list[Word]] = {}
     for idx, (eid, (gens, alpha, alpha_bar)) in enumerate(zip(graph.edges, edge_texts)):

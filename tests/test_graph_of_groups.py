@@ -394,9 +394,10 @@ def test_loads_single_fault_message(fault):
     assert str(info.value) == message
 
 
-# Four faults, listed in the order loads reports them: JSON typing, the
-# graph, the words, the image counts.  Each fault sits on a later edge
-# than the next one, so an edge-by-edge check would report another first.
+# Four faults, listed in the order loads reports them: an edge's JSON
+# type, the graph, a boundary word, an image count.  Each fault sits on a
+# later edge than the next one, so an edge-by-edge check would report
+# another first.
 ORDERED_FAULTS = [
     lambda d: d["edges"][1].update(edge_generators="u"),
     lambda d: d["edges"][0].update(to="v9"),
