@@ -14,8 +14,9 @@ the generators of the origin vertex of e.
 Every per-edge rule is checked once, by the constructors, which raise
 GogFileError with the path of the field as a document would spell it:
 ``SerreGraph`` checks that vertex and edge ids are identifiers
-(``vertices.<id>``, ``edges[i].id``), that no id repeats, counting
-``id_bar`` (``edges[i].id``), and that both endpoints are vertices
+(``vertices.<id>``, ``edges[i].id``), that no vertex id repeats
+(``vertices.<id>``) and no edge id, counting ``id_bar``
+(``edges[i].id``), and that both endpoints are vertices
 (``edges[i].from`` / ``.to``); ``GraphOfGroups`` checks that every
 vertex has a group (``vertices.<id>``) and every edge its generators
 (``edges[i]``), one boundary image per edge generator on each side
@@ -23,7 +24,8 @@ vertex has a group (``vertices.<id>``) and every edge its generators
 origin's generators (``edges[i].alpha[j]``).  ``validate`` keeps what
 construction cannot fix: a graph with no vertices, or one that is not
 connected.  Operations that need a valid graph of groups raise
-GogValidationError with that list.
+GogValidationError with that list; the breadth-first search that shows
+a graph connected also gives its default spanning tree.
 
 ``fundamental_presentation`` realises the group of the whole diagram
 relative to a maximal subtree: generators are all vertex generators
@@ -31,8 +33,9 @@ relative to a maximal subtree: generators are all vertex generators
 relators are the vertex relators, one e*inv(e) relator per edge pair,
 one killing relator per tree pair, and the conjugation relator
 e^-1 * alpha_e(g) * e * alpha_inv(e)(g)^-1 for every half-edge e and
-edge generator g.  A Tietze-simplified companion eliminates the inverse
-letters (inv(e) = e^-1) and the tree letters.
+edge generator g.  A Tietze-simplified companion, built in the same
+loop from the same letters, has no inverse letters (inv(e) = e^-1) and
+no tree letters (Lyndon & Schupp, Combinatorial Group Theory, II.2).
 
 Injectivity of the boundary maps is an *assumption*, not checked
 (undecidable in general), and the index of edge groups is not checked.
@@ -67,7 +70,6 @@ from .words import (
     Word,
     WordParseError,
     parse_word,
-    substitute,
 )
 
 BOUNDARY_INJECTIVITY_ASSUMPTION = (
@@ -101,17 +103,20 @@ class SerreGraph:
     edge (e, u, v) gives the half-edge e from u to v and its reverse
     e_bar from v to u.  So ``inv`` is an involution without fixed points
     and every half-edge has an origin, by construction.  ``edges`` keeps
-    the edge ids in input order; each is the key of its pair."""
+    the edge ids in input order; each is the key of its pair.
+    ``vertices`` and ``half_edges`` hold the ids in ascending order."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         # Each check formats its path only on failure (one runs per vertex
         # or edge), so the constructors raise instead of calling _expect.
-        vertices = tuple(vertices)
+        known: set[str] = set()
         for v in vertices:
             if not IDENT_RE.fullmatch(v):
                 raise GogFileError("vertex id is not an identifier", f"vertices.{v}")
-        self.vertices = tuple(sorted(vertices))
-        known = set(vertices)
+            if v in known:
+                raise GogFileError("duplicate vertex id", f"vertices.{v}")
+            known.add(v)
+        self.vertices = tuple(sorted(known))
         self.edges: list[str] = []
         self.inv: dict[str, str] = {}
         self.origin: dict[str, str] = {}
@@ -129,13 +134,10 @@ class SerreGraph:
             self.inv[bar] = eid
             self.origin[eid] = frm
             self.origin[bar] = to
+        self.half_edges = tuple(sorted(self.inv))
         self._incident: dict[str, list[str]] = {}
-        for e in sorted(self.origin):
+        for e in self.half_edges:
             self._incident.setdefault(self.origin[e], []).append(e)
-
-    @property
-    def half_edges(self) -> tuple[str, ...]:
-        return tuple(sorted(self.inv))
 
     def terminus(self, e: str) -> str:
         return self.origin[self.inv[e]]
@@ -166,19 +168,29 @@ class SerreGraph:
         return parent
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        return len(self.reach(self.vertices[0])) == len(self.vertices)
+        return _bfs_tree(self) is not None
+
+
+def _bfs_tree(graph: SerreGraph) -> frozenset[str] | None:
+    """The pairs by which a breadth-first search from the smallest vertex
+    id first reaches each vertex, exploring half-edges in ascending id
+    order; None unless the graph has vertices and is connected."""
+    if not graph.vertices:
+        return None
+    parent = graph.reach(graph.vertices[0])
+    if len(parent) != len(graph.vertices):
+        return None
+    return frozenset(graph.pair_key(e) for e in parent.values() if e is not None)
 
 
 def spanning_tree(graph: SerreGraph) -> frozenset[str]:
     """Deterministic maximal subtree, as a set of edge-pair keys:
     breadth-first from the smallest vertex id, exploring half-edges in
     ascending id order."""
-    if not graph.is_connected():
+    tree = _bfs_tree(graph)
+    if tree is None:
         raise DomainError("graph is not connected")
-    parent = graph.reach(graph.vertices[0])
-    return frozenset(graph.pair_key(e) for e in parent.values() if e is not None)
+    return tree
 
 
 class GraphOfGroups:
@@ -229,10 +241,13 @@ def validate(gog: GraphOfGroups) -> list[str]:
     return [] if gog.graph.is_connected() else ["graph is not connected"]
 
 
-def _require_valid(gog: GraphOfGroups) -> None:
-    violations = validate(gog)
-    if violations:
-        raise GogValidationError(violations)
+def _require_valid(gog: GraphOfGroups) -> frozenset[str]:
+    """The default spanning tree of gog, from the one search that shows
+    gog valid; GogValidationError with the violations otherwise."""
+    tree = _bfs_tree(gog.graph)
+    if tree is None:
+        raise GogValidationError(validate(gog))
+    return tree
 
 
 def _check_tree(gog: GraphOfGroups, tree: frozenset[str]) -> frozenset[str]:
@@ -275,7 +290,15 @@ def _assign_names(gog: GraphOfGroups) -> dict[str, tuple[str, ...]]:
 
 
 def _remap(w: Word, index_of_local: list[int]) -> Word:
-    return Word((index_of_local[gen], exp) for gen, exp in w.letters)
+    # An injective renumbering keeps a word reduced.
+    return Word._make(tuple((index_of_local[gen], exp) for gen, exp in w.letters))
+
+
+def _conjugated(letter: int, sign: int, word: tuple) -> tuple:
+    """The letters of x^-sign w x^sign, for the generator x of index
+    letter, on the letters of a reduced word w that does not use x: so
+    the result is reduced, and empty when w is."""
+    return ((letter, -sign),) + word + ((letter, sign),) if word else ()
 
 
 def _least_rotation(s: list) -> tuple:
@@ -337,78 +360,60 @@ def fundamental_presentation(
 ) -> PiOnePresentation:
     """Present the fundamental group of the graph of groups.
 
-    The raw presentation follows the defining formula letter by letter;
-    the simplified one substitutes inv(e) = e^-1, kills tree letters,
-    freely reduces, and drops empty and repeated (up to rotation and
-    inversion) relators.
+    The raw presentation follows the defining formula letter by letter.
+    The simplified one is built in the same loop: it holds what the raw
+    relators become when inv(e) = e^-1 and every tree letter is 1.  The
+    vertex relators stay, the pair and tree relators vanish, and a
+    conjugation relator loses its tree letter or keeps its pair's letter
+    to the power +-1.  Empty relators and repeats up to rotation and
+    inversion are dropped.
     """
-    _require_valid(gog)
+    default_tree = _require_valid(gog)
     g = gog.graph
-    tree = spanning_tree(g) if tree is None else _check_tree(gog, tree)
+    tree = default_tree if tree is None else _check_tree(gog, tree)
     names = _assign_names(gog)
 
     raw_gens: list[str] = []
     local_index: dict[str, list[int]] = {}
     for v in g.vertices:
-        local_index[v] = []
-        for final in names[v]:
-            local_index[v].append(len(raw_gens))
-            raw_gens.append(final)
-    edge_index: dict[str, int] = {}
-    for e in g.half_edges:
-        edge_index[e] = len(raw_gens)
-        raw_gens.append(e)
-
-    relators: list[Word] = []
-    for v in g.vertices:
-        for rel in gog.vertex_groups[v].relators:
-            relators.append(_remap(rel, local_index[v]))
+        local_index[v] = list(range(len(raw_gens), len(raw_gens) + len(names[v])))
+        raw_gens += names[v]
+    # Vertex generators come first in both presentations; then one letter
+    # per half-edge in the raw one, one per pair off the tree in the other.
     pairs = g.edge_pairs()
-    for pair in pairs:
-        relators.append(Word([(edge_index[pair], 1), (edge_index[g.inv[pair]], 1)]))
-    for pair in pairs:
-        if pair in tree:
-            relators.append(Word([(edge_index[pair], 1)]))
-    for e in g.half_edges:
-        key = g.pair_key(e)
-        for i in range(len(gog.edge_generators[key])):
-            alpha = _remap(gog.boundary[e][i], local_index[g.origin[e]])
-            alpha_bar = _remap(gog.boundary[g.inv[e]][i], local_index[g.origin[g.inv[e]]])
-            relators.append(
-                Word([(edge_index[e], -1)]) * alpha * Word([(edge_index[e], 1)]) * ~alpha_bar
-            )
-    raw = Presentation(tuple(raw_gens), tuple(relators))
+    off_tree = [pair for pair in pairs if pair not in tree]
+    kept = {pair: len(raw_gens) + i for i, pair in enumerate(off_tree)}
+    simp_gens = raw_gens + off_tree
+    edge_index = {e: len(raw_gens) + i for i, e in enumerate(g.half_edges)}
+    raw_gens += g.half_edges
 
-    # Tietze cleanup: inv(e) -> e^-1, tree letters -> 1.
-    images: list[Word] = [Word([(i, 1)]) for i in range(len(raw_gens))]
-    for pair in pairs:
-        bar = g.inv[pair]
-        if pair in tree:
-            images[edge_index[pair]] = Word()
-            images[edge_index[bar]] = Word()
-        else:
-            images[edge_index[bar]] = Word([(edge_index[pair], -1)])
-    kept = [
-        i
-        for i, name in enumerate(raw_gens)
-        if name not in g.inv  # vertex generator
-        or (g.pair_key(name) == name and name not in tree)
+    relators = [
+        _remap(rel, local_index[v]) for v in g.vertices for rel in gog.vertex_groups[v].relators
     ]
-    new_of_old = {old: new for new, old in enumerate(kept)}
-    simp_gens = tuple(raw_gens[i] for i in kept)
-    simp_relators: list[Word] = []
-    seen_keys: set[tuple] = set()
-    for rel in relators:
-        image = substitute(rel, images)
-        if not image:
-            continue
-        renumbered = Word((new_of_old[gen], exp) for gen, exp in image.letters)
-        key = _cyclic_key(renumbered)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        simp_relators.append(renumbered)
-    simplified = Presentation(simp_gens, tuple(simp_relators))
+    simp_relators = relators[:]
+    relators += [Word._make(((edge_index[p], 1), (edge_index[g.inv[p]], 1))) for p in pairs]
+    relators += [Word._make(((edge_index[p], 1),)) for p in pairs if p in tree]
+    for e in g.half_edges:
+        bar, key = g.inv[e], g.pair_key(e)
+        here, there = local_index[g.origin[e]], local_index[g.origin[bar]]
+        for w, w_bar in zip(gog.boundary[e], gog.boundary[bar]):
+            alpha = _remap(w, here).letters
+            alpha_bar_inv = (~_remap(w_bar, there)).letters
+            relators.append(Word._make(_conjugated(edge_index[e], 1, alpha) + alpha_bar_inv))
+            if key in tree:
+                # A tree edge is no loop: alpha and alpha_bar use the
+                # generators of two vertices, so nothing cancels.
+                simp_relators.append(Word._make(alpha + alpha_bar_inv))
+            else:
+                sign = 1 if key == e else -1
+                letters = _conjugated(kept[key], sign, alpha) + alpha_bar_inv
+                simp_relators.append(Word._make(letters))
+    raw = Presentation(tuple(raw_gens), tuple(relators))
+    unique: dict[tuple, Word] = {}
+    for rel in simp_relators:
+        unique.setdefault(_cyclic_key(rel), rel)
+    unique.pop((), None)  # the key of the empty word
+    simplified = Presentation(tuple(simp_gens), tuple(unique.values()))
 
     return PiOnePresentation(
         raw=raw,

@@ -498,7 +498,11 @@ def suite_gog(names: Sequence[str] = fixture_names(), seed: int | str = 0) -> Su
     """Fundamental-group builder checks on the built-in fixtures: the
     relator-count formula, equality of raw and simplified
     abelianizations, and invariance of the abelianization under every
-    collapse-to-one-edge move."""
+    collapse-to-one-edge move.  The builder makes the raw and the
+    simplified presentation as two constructions from the same letters,
+    so their abelianizations are compared across the two; that the
+    simplified one is the Tietze rewrite of the raw one is checked in
+    tests/test_cross_validation.py."""
     names = list(names)
 
     def trial(index: int, sub: str) -> list[Problem]:

@@ -222,14 +222,6 @@ class Word:
         return sum(abs(e) for _, e in self.letters)
 
 
-def substitute(w: Word, images: Sequence[Word]) -> Word:
-    """Replace every generator g by images[g], freely reducing the result."""
-    out: list[tuple[int, int]] = []
-    for gen, exp in w.letters:
-        out.extend((images[gen] ** exp).letters)
-    return Word(out)
-
-
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse ``text`` over ``alphabet`` into a freely reduced Word.
 

@@ -187,8 +187,15 @@ def test_pi1_requires_valid_gog():
     )
     empty = GraphOfGroups(SerreGraph([], []), {}, {}, {})
     cases = ((disconnected, "graph is not connected"), (empty, "graph has no vertices"))
+    # A given tree is checked only after the graph: the error class and
+    # violation stay those of a graph that is not valid.
+    runs = (
+        fundamental_presentation,
+        lambda g: fundamental_presentation(g, frozenset({"e"})),
+        lambda g: collapse_all_but_one(g, "e"),
+    )
     for gog, violation in cases:
-        for run in (fundamental_presentation, lambda g: collapse_all_but_one(g, "e")):
+        for run in runs:
             with pytest.raises(GogValidationError) as err:
                 run(gog)
             assert err.value.violations == [violation]
@@ -426,6 +433,7 @@ def test_loads_reports_faults_in_documented_order(first):
     "build, message",
     [
         (lambda: SerreGraph(["v", "2w"], []), "vertices.2w: vertex id is not an identifier"),
+        (lambda: SerreGraph(["v", "w", "v"], []), "vertices.v: duplicate vertex id"),
         (
             lambda: SerreGraph(["v"], [("e'", "v", "v")]),
             "edges[0].id: edge id is not an identifier",

@@ -16,7 +16,6 @@ from baumslag.words import (
     WordParseError,
     format_word,
     parse_word,
-    substitute,
 )
 
 AB = ("a", "b")
@@ -246,12 +245,6 @@ def test_word_operators_match_functions():
         assert ~u == Word((g, -e) for g, e in reversed(u.letters))
         assert u**3 == u * u * u
         assert u**-2 == ~u * ~u
-
-
-def test_substitute():
-    w = parse_word("a b^2 a^-1", AB)
-    images = [parse_word("b", AB), parse_word("a b", AB)]
-    assert substitute(w, images) == parse_word("b (a b)^2 b^-1", AB)
 
 
 def test_presentation_validation():

@@ -92,7 +92,7 @@ SWEEPS = {
     # fundamental_presentation (validate, spanning tree, raw and simplified
     # relators) of the same cycle, loaded before the clock starts.
     "pi1_cycle_vertices": (
-        [800, 1_600, 3_200, 6_400],
+        [800, 1_600, 3_200, 6_400, 12_800, 25_600],
         "import json\n"
         "from baumslag.graph_of_groups import fundamental_presentation, loads\n"
         "edges = [{'id': f'e{i}', 'from': f'v{i}', 'to': f'v{(i + 1) % SIZE}',\n"
