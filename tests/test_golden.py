@@ -3,10 +3,10 @@
 Every case runs ``baumslag.cli.main`` in-process and records stdout,
 stderr and the exit code, once per ``--format`` value.  The cases cover
 every command, all seven ``verify`` suites at small sizes, the usage and
-domain error paths, and one forced failure for every failure record the
-suites can emit: a forced case replaces the checked function (or its
-result) for the duration of the run, so the failure report itself is
-pinned.
+domain error paths, one forced failure for every failure record the
+suites can emit, and one for every one-shot command that can exit 1: a
+forced case replaces the checked function (or its result) for the
+duration of the run, so the failure report itself is pinned.
 
 The expected bytes live in ``tests/golden/cli.json``.  Regenerate them
 only for an intended output change (and record that change in
@@ -211,7 +211,8 @@ def _replace_result(fn, **changes):
 
 
 def _forced() -> list[tuple[str, list[str], list[tuple[object, str, object]]]]:
-    """(name, argv, patches): one case per failure record in harness."""
+    """(name, argv, patches): one case per failure record in harness, and
+    one per one-shot command report that says ``verified: no``."""
     collapse = harness.collapse_all_but_one
     is_trivial = britton.is_trivial
     return [
@@ -249,6 +250,15 @@ def _forced() -> list[tuple[str, list[str], list[tuple[object, str, object]]]]:
         ("fail_gog_collapse", ["verify", "--suite", "gog"],
          [(harness, "collapse_all_but_one",
            lambda gog, pair: collapse(load_fixture("two_loops"), "e"))]),
+        ("fail_cli_witness_z2", ["witness", "--kind", "z2", "--group", "BS(2,3)", "--bound", "1"],
+         [(britton, "z2_witness",
+           _replace_result(britton.z2_witness, commutator_is_trivial=False))]),
+        ("fail_cli_witness_weak_ah", ["witness", "--kind", "weak-ah", "--group", "G(2,3)"],
+         [(metabelian.PowerConjugacyWitness, "verify", lambda self: False)]),
+        ("fail_cli_witness_csa", ["witness", "--kind", "csa", "--group", "G(2,3)"],
+         [(metabelian.MalnormalityViolationWitness, "verify", lambda self: False)]),
+        ("fail_cli_cert", ["cert", "--group", "G(2,3)", "--target", "1/n^2"],
+         [(metabelian.BezoutCertificate, "word_evaluates_to_target", lambda self: False)]),
     ]
 
 
