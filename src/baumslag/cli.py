@@ -2,8 +2,13 @@
 
 Exit codes: 0 success / verification passed, 1 verification failure,
 2 usage or parse error, 3 domain-precondition error.  All output is a
-deterministic function of the flags; ``--format structured`` emits JSON
-that parses back into the documented report shapes.
+deterministic function of the flags.  Every one-shot command (all but
+``verify``) returns through ``_report``, the one place that writes its
+output and maps its verdict to exit code 0 or 1: ``--format structured``
+prints one JSON object holding ``command``, the head key (``group``, or
+``input`` for ``pi1``) and the command's fields; text prints the head
+line and then the command's lines.  ``verify`` prints its
+``SuiteReport`` as text or JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .abelianization import abelianization
 from .errors import DomainError
 from .graph_of_groups import (
     BOUNDARY_INJECTIVITY_ASSUMPTION,
-    GogFileError,
     GogValidationError,
     fundamental_presentation,
     load,
@@ -34,7 +38,7 @@ from .metabelian import (
     power_conjugacy_witness,
     two_gen_classify,
 )
-from .words import WordParseError, format_word, parse_word
+from .words import format_word, parse_word
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -51,24 +55,31 @@ def _parse_group(text: str):
     raise ValueError(f"malformed group {text!r}, expected 'BS(m,n)' or 'G(m,n)'")
 
 
-def _require_bs(group) -> britton.BsParams:
-    if not isinstance(group, britton.BsParams):
-        raise ValueError(f"this command needs a BS(m,n) group, got {group}")
+def _require(family: type, group):
+    """The group, if it is of the family (BsParams or MetabelianParams)."""
+    if not isinstance(group, family):
+        name = "BS(m,n)" if family is britton.BsParams else "G(m,n)"
+        raise ValueError(f"this command needs a {name} group, got {group}")
     return group
 
 
-def _require_g(group) -> MetabelianParams:
-    if not isinstance(group, MetabelianParams):
-        raise ValueError(f"this command needs a G(m,n) group, got {group}")
-    return group
+def _report(
+    args, head: tuple[str, object], fields: dict, lines: list[str], ok: bool = True
+) -> int:
+    """Print a one-shot command's report and return its exit code.
 
-
-def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "structured":
+    ``head`` is the (key, value) pair that opens both renderings; the
+    text lines carry facts that ``fields`` may lack, so neither is
+    derived from the other."""
+    key, value = head
+    if args.format == "structured":
+        payload = {"command": args.command, key: str(value), **fields}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        print(f"{key}: {value}")
+        for line in lines:
             print(line)
+    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
 def _show_word(formatted: str) -> str:
@@ -76,58 +87,48 @@ def _show_word(formatted: str) -> str:
 
 
 def cmd_reduce(args) -> int:
-    params = _require_bs(_parse_group(args.group))
+    params = _require(britton.BsParams, _parse_group(args.group))
     word = britton.BsWord.from_text(args.word)
     reduced = britton.britton_reduce(word, params)
     trivial = not reduced
     formatted = reduced.format()
-    payload = {
-        "command": "reduce",
-        "group": str(params),
+    fields = {
         "input": args.word,
         "reduced": formatted,
         "trivial": trivial,
     }
     lines = [
-        f"group: {params}",
         f"input: {args.word}",
         f"reduced: {_show_word(formatted)}",
         f"trivial: {'yes' if trivial else 'no'}",
     ]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    return _report(args, ("group", params), fields, lines)
 
 
 def cmd_eval(args) -> int:
-    params = _require_g(_parse_group(args.group))
+    params = _require(MetabelianParams, _parse_group(args.group))
     word = parse_word(args.word, britton.GENERATORS)
     element = eval_word(word, params)
-    payload = {
-        "command": "eval",
-        "group": str(params),
+    fields = {
         "input": args.word,
         "element": str(element),
     }
     lines = [
-        f"group: {params}",
         f"input: {args.word}",
         f"element: {element}",
     ]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    return _report(args, ("group", params), fields, lines)
 
 
 def cmd_classify(args) -> int:
-    params = _require_g(_parse_group(args.group))
+    params = _require(MetabelianParams, _parse_group(args.group))
     parts = [p for p in args.elems.split(";")]
     if len(parts) != 2:
         raise ValueError("expected exactly two elements separated by ';'")
     g1 = parse_element(parts[0], params)
     g2 = parse_element(parts[1], params)
     result = two_gen_classify(g1, g2)
-    payload = {
-        "command": "classify",
-        "group": str(params),
+    fields = {
         "g1": str(g1),
         "g2": str(g2),
         "kind": result.kind,
@@ -137,7 +138,6 @@ def cmd_classify(args) -> int:
         "anchor": str(result.anchor) if result.anchor else None,
     }
     lines = [
-        f"group: {params}",
         f"g1: {g1}",
         f"g2: {g2}",
         f"kind: {result.kind}",
@@ -149,19 +149,16 @@ def cmd_classify(args) -> int:
         lines.append(f"common power: g1^{i} = g2^{j}")
     if result.subgroup is not None:
         lines.append(f"contains: {result.subgroup} generated by d and {result.anchor}")
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    return _report(args, ("group", params), fields, lines)
 
 
 def cmd_witness(args) -> int:
     group = _parse_group(args.group)
     if args.kind == "z2":
-        params = _require_bs(group)
+        params = _require(britton.BsParams, group)
         report = britton.z2_witness(params, args.bound)
-        payload = {
-            "command": "witness",
+        fields = {
             "kind": "z2",
-            "group": str(params),
             "u": report.u.format(),
             "v": report.v.format(),
             "commutator_trivial": report.commutator_is_trivial,
@@ -171,7 +168,6 @@ def cmd_witness(args) -> int:
             "verified": report.verified,
         }
         lines = [
-            f"group: {params}",
             f"u: {report.u.format()}",
             f"v: {report.v.format()}",
             f"commutator [u, v] trivial: {'yes' if report.commutator_is_trivial else 'no'}",
@@ -180,16 +176,14 @@ def cmd_witness(args) -> int:
             "note: faithfulness is checked up to the stated bound only",
             f"verified: {'yes' if report.verified else 'no'}",
         ]
-        _emit(payload, lines, args.format)
-        return EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
-    params = _require_g(group)
+        return _report(args, ("group", params), fields, lines, report.verified)
+    params = _require(MetabelianParams, group)
+    head = ("group", params)
     if args.kind == "weak-ah":
         witness = power_conjugacy_witness(params)
         if witness is None:
-            payload = {
-                "command": "witness",
+            fields = {
                 "kind": "weak-ah",
-                "group": str(params),
                 "witness": None,
                 "note": (
                     "m = n: no conjugate-power witness; G(1,1) is free abelian "
@@ -197,17 +191,13 @@ def cmd_witness(args) -> int:
                 ),
             }
             lines = [
-                f"group: {params}",
                 "witness: none",
                 "note: m = n; G(1,1) is free abelian of rank 2 and contains Z^2 as itself",
             ]
-            _emit(payload, lines, args.format)
-            return EXIT_OK
+            return _report(args, head, fields, lines)
         ok = witness.verify()
-        payload = {
-            "command": "witness",
+        fields = {
             "kind": "weak-ah",
-            "group": str(params),
             "witness": {
                 "x": str(witness.x),
                 "t": str(witness.t),
@@ -218,51 +208,35 @@ def cmd_witness(args) -> int:
             "verified": ok,
         }
         lines = [
-            f"group: {params}",
             f"x: {witness.x}",
             f"t: {witness.t}",
             f"identity: t x^{witness.e1} t^-1 = x^{witness.e2}",
             f"exponents: |{witness.e1}| != |{witness.e2}|",
             f"verified: {'yes' if ok else 'no'}",
         ]
-        _emit(payload, lines, args.format)
-        return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+        return _report(args, head, fields, lines, ok)
     if args.kind == "csa":
         witness = malnormality_violation_witness(params)
         if witness is None:
-            payload = {
-                "command": "witness",
-                "kind": "csa",
-                "group": str(params),
-                "witness": None,
-                "note": "G(1,1) is abelian; H is not a proper subgroup",
-            }
-            lines = [
-                f"group: {params}",
-                "witness: none",
-                "note: G(1,1) is abelian; H is not a proper subgroup",
-            ]
-            _emit(payload, lines, args.format)
-            return EXIT_OK
+            note = "G(1,1) is abelian; H is not a proper subgroup"
+            fields = {"kind": "csa", "witness": None, "note": note}
+            lines = ["witness: none", f"note: {note}"]
+            return _report(args, head, fields, lines)
         ok = witness.verify()
         conj = witness.h.conjugate(witness.g)
-        payload = {
-            "command": "witness",
+        fields = {
             "kind": "csa",
-            "group": str(params),
             "witness": {"h": str(witness.h), "g": str(witness.g)},
             "conjugate": str(conj),
             "verified": ok,
         }
         lines = [
-            f"group: {params}",
             f"h (in H): {witness.h}",
             f"g (outside H): {witness.g}",
             f"g^-1 h g: {conj} (in H, nontrivial)",
             f"verified: {'yes' if ok else 'no'}",
         ]
-        _emit(payload, lines, args.format)
-        return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+        return _report(args, head, fields, lines, ok)
     raise ValueError(f"unknown witness kind {args.kind!r}")
 
 
@@ -270,7 +244,7 @@ _TARGET_RE = re.compile(r"1/([mn])(?:\^(\d+))?\Z")
 
 
 def cmd_cert(args) -> int:
-    params = _require_g(_parse_group(args.group))
+    params = _require(MetabelianParams, _parse_group(args.group))
     match = _TARGET_RE.match(args.target.strip())
     if not match:
         raise ValueError(
@@ -283,9 +257,7 @@ def cmd_cert(args) -> int:
     base = params.n if side == "n" else params.m
     word_text = format_word(cert.word, britton.GENERATORS)
     value = eval_word(cert.word, params)
-    payload = {
-        "command": "cert",
-        "group": str(params),
+    fields = {
         "target": f"1/{base}^{k}",
         "side": side,
         "k": k,
@@ -297,15 +269,13 @@ def cmd_cert(args) -> int:
     }
     m_k, n_k = params.m**k, params.n**k
     lines = [
-        f"group: {params}",
         f"target: (1/{base ** k}, 0)",
         f"bezout: {m_k}*({cert.q}) + {n_k}*({cert.q_prime}) = 1",
         f"word: {_show_word(word_text)}",
         f"word evaluates to: {value}",
         f"verified: {'yes' if ok else 'no'}",
     ]
-    _emit(payload, lines, args.format)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return _report(args, ("group", params), fields, lines, ok)
 
 
 def cmd_pi1(args) -> int:
@@ -315,45 +285,35 @@ def cmd_pi1(args) -> int:
         tree = frozenset(p for p in (s.strip() for s in args.tree.split(",")) if p)
     pi1 = fundamental_presentation(gog, tree)
     ab = abelianization(pi1.simplified)
-    payload = {
-        "command": "pi1",
-        "input": args.input,
+    fields = {
         "tree": sorted(pi1.tree),
-        "raw": {
-            "generators": list(pi1.raw.generators),
-            "relators": [format_word(r, pi1.raw.generators) for r in pi1.raw.relators],
-        },
-        "simplified": {
-            "generators": list(pi1.simplified.generators),
-            "relators": [
-                format_word(r, pi1.simplified.generators)
-                for r in pi1.simplified.relators
-            ],
-        },
         "abelianization": str(ab),
         "assumptions": [BOUNDARY_INJECTIVITY_ASSUMPTION],
     }
+    for name, pres in (("raw", pi1.raw), ("simplified", pi1.simplified)):
+        fields[name] = {
+            "generators": list(pres.generators),
+            "relators": [format_word(r, pres.generators) for r in pres.relators],
+        }
     lines = [
-        f"input: {args.input}",
         f"tree: {', '.join(sorted(pi1.tree)) or '(empty)'}",
         f"raw: {pi1.raw.format()}",
         f"simplified: {pi1.simplified.format()}",
         f"abelianization: {ab}",
         f"assumption: {BOUNDARY_INJECTIVITY_ASSUMPTION}",
     ]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    return _report(args, ("input", args.input), fields, lines)
 
 
 def _oracle_k(group) -> int:
-    bs = _require_bs(group)
+    bs = _require(britton.BsParams, group)
     if bs.m != 1 or bs.n < 1:
         raise DomainError(f"oracle suite needs BS(1,k) groups with k >= 1, got {bs}")
     return bs.n
 
 
 def _bs_pair(group) -> tuple[int, int]:
-    bs = _require_bs(group)
+    bs = _require(britton.BsParams, group)
     return bs.m, bs.n
 
 
@@ -361,12 +321,12 @@ def _bs_pair(group) -> tuple[int, int]:
 # --group is ignored), and the suite parameter each of --trials and
 # --bound sets.  harness.suite_* holds the default of every flag left out.
 VERIFY_SUITES = {
-    "ct": (_require_g, {"trials": "trials"}),
+    "ct": (functools.partial(_require, MetabelianParams), {"trials": "trials"}),
     "oracle": (_oracle_k, {"trials": "trials"}),
     "z2": (_bs_pair, {"bound": "bound"}),
-    "witnesses": (_require_g, {}),
-    "bezout": (_require_g, {"bound": "k_max"}),
-    "classify": (_require_g, {"trials": "trials"}),
+    "witnesses": (functools.partial(_require, MetabelianParams), {}),
+    "bezout": (functools.partial(_require, MetabelianParams), {"bound": "k_max"}),
+    "classify": (functools.partial(_require, MetabelianParams), {"trials": "trials"}),
     "gog": (None, {}),
 }
 
@@ -491,9 +451,6 @@ def main(argv=None) -> int:
     except GogValidationError as err:
         for violation in err.violations:
             print(f"invalid graph of groups: {violation}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WordParseError, GogFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -445,43 +445,33 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
         raise DomainError(f"{keep!r} is not an edge pair of the graph")
     keep_bar = g.inv[keep]
 
-    component: dict[str, str] = {}
-    for v in g.vertices:
-        if v in component:
-            continue
-        members = g.reach(v, lambda e: g.pair_key(e) != keep)
-        root = min(members)
-        for u in members:
-            component[u] = root
+    def side(v: str) -> dict[str, str | None]:
+        return g.reach(v, lambda e: g.pair_key(e) != keep)
 
-    def collapse_component(root: str) -> tuple[Presentation, Mapping[str, tuple[str, ...]]]:
-        vertices = [v for v, r in component.items() if r == root]
-        pairs = [p for p in g.edge_pairs() if p != keep and component[g.origin[p]] == root]
+    # The split is an HNN extension exactly when the search from one end
+    # of the kept pair reaches the other end.
+    side_a = side(g.origin[keep])
+    side_b = side_a if g.origin[keep_bar] in side_a else side(g.origin[keep_bar])
+    root_a, root_b = min(side_a), min(side_b)
+    kind = "amalgam" if root_a != root_b else "hnn"
+
+    presentations: dict[str, Presentation] = {}
+    gen_names: dict[str, Mapping[str, tuple[str, ...]]] = {}
+    for root, members in sorted({root_a: side_a, root_b: side_b}.items()):
+        pairs = [p for p in g.edge_pairs() if p != keep and g.origin[p] in members]
         sub = GraphOfGroups(
-            SerreGraph(vertices, [(p, g.origin[p], g.terminus(p)) for p in pairs]),
+            SerreGraph(members, [(p, g.origin[p], g.terminus(p)) for p in pairs]),
             gog.vertex_groups,
             gog.edge_generators,
             gog.boundary,
         )
         pi1 = fundamental_presentation(sub)
-        return pi1.simplified, pi1.vertex_gen_names
+        presentations[root] = pi1.simplified
+        gen_names[root] = pi1.vertex_gen_names
 
-    root_a = component[g.origin[keep]]
-    root_b = component[g.origin[keep_bar]]
-    kind = "amalgam" if root_a != root_b else "hnn"
-
-    presentations: dict[str, Presentation] = {}
-    gen_names: dict[str, Mapping[str, tuple[str, ...]]] = {}
-    for root in sorted({root_a, root_b}):
-        pres, names = collapse_component(root)
-        presentations[root] = pres
-        gen_names[root] = names
-
-    def rewrite(e: str) -> tuple[Word, ...]:
-        v = g.origin[e]
-        root = component[v]
+    def rewrite(e: str, root: str) -> tuple[Word, ...]:
         pres = presentations[root]
-        names = gen_names[root][v]
+        names = gen_names[root][g.origin[e]]
         position = {name: i for i, name in enumerate(pres.generators)}
         local_to_new = [position[name] for name in names]
         return tuple(_remap(w, local_to_new) for w in gog.boundary[e])
@@ -490,7 +480,7 @@ def collapse_all_but_one(gog: GraphOfGroups, keep: str) -> CollapsedSplitting:
         SerreGraph(sorted({root_a, root_b}), [(keep, root_a, root_b)]),
         presentations,
         gog.edge_generators,
-        {keep: rewrite(keep), keep_bar: rewrite(keep_bar)},
+        {keep: rewrite(keep, root_a), keep_bar: rewrite(keep_bar, root_b)},
     )
     return CollapsedSplitting(kind=kind, gog=new_gog)
 

@@ -17,9 +17,15 @@ checkout, one subprocess per point, and fits a log-log slope to each;
 a sweep stops after its first point over SWEEP_CAP_S seconds, so that
 a quadratic baseline cannot stall the recorder.
 
+Before the first run, every checkout's ``src`` and ``bench`` are
+byte-compiled (``python -m compileall``, which writes ``.pyc`` files even
+under PYTHONDONTWRITEBYTECODE=1), so that no side compiles its modules
+at import time in each spawned run while the other reads a cache.
+
 One file per label is written at the root of this repository.  It holds
 nproc, the Python version, the checkout's git SHA, whether its tracked
-files differ from that commit, the package digest, and per metric the
+files differ from that commit, the bytecode state of its runs, the
+package digest, and per metric the
 median, the quartiles and every value in seed order, so that the values
 of two files pair up by position.  To compare with an older commit, make
 a separate clone of it and pass it as a second checkout.
@@ -133,6 +139,13 @@ def git_state(checkout: str) -> dict:
     }
 
 
+def compile_checkout(checkout: str) -> str:
+    """Byte-compile the checkout's sources; the bytecode state its runs use."""
+    argv = [sys.executable, "-m", "compileall", "-q", "src", "bench"]
+    subprocess.run(argv, cwd=checkout, capture_output=True, check=True)
+    return "compiled"
+
+
 def bench_run(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced bench run: (result line, provenance)."""
     argv = [
@@ -221,6 +234,7 @@ def main(argv=None) -> int:
         records[label] = {
             "label": label,
             **git_state(dirs[label]),
+            "bytecode": compile_checkout(dirs[label]),
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "seeds": SEEDS,
