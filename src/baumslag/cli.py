@@ -219,8 +219,15 @@ def cmd_witness(args) -> int:
         witness = malnormality_violation_witness(params)
         if witness is None:
             note = "G(1,1) is abelian; H is not a proper subgroup"
-            fields = {"kind": "csa", "witness": None, "note": note}
-            lines = ["witness: none", f"note: {note}"]
+            fields = {
+                "kind": "csa",
+                "witness": None,
+                "note": note,
+            }
+            lines = [
+                "witness: none",
+                f"note: {note}",
+            ]
             return _report(args, head, fields, lines)
         ok = witness.verify()
         conj = witness.h.conjugate(witness.g)

@@ -139,11 +139,10 @@ def git_state(checkout: str) -> dict:
     }
 
 
-def compile_checkout(checkout: str) -> str:
-    """Byte-compile the checkout's sources; the bytecode state its runs use."""
+def compile_checkout(checkout: str) -> None:
+    """Byte-compile the sources that the checkout's runs import."""
     argv = [sys.executable, "-m", "compileall", "-q", "src", "bench"]
     subprocess.run(argv, cwd=checkout, capture_output=True, check=True)
-    return "compiled"
 
 
 def bench_run(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -231,10 +230,11 @@ def main(argv=None) -> int:
 
     records = {}
     for label in labels:
+        compile_checkout(dirs[label])
         records[label] = {
             "label": label,
             **git_state(dirs[label]),
-            "bytecode": compile_checkout(dirs[label]),
+            "bytecode": "compiled",
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "seeds": SEEDS,
