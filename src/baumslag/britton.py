@@ -23,15 +23,24 @@ with a^0 between them and a^e after the last.  Whether t^s1 a^e1 t^s2
 (s_i = +/-1) is a pinch depends on s1, s2 and e1 only; a rewrite adds
 the merged exponent to the a-exponent before it, which can only create a
 pinch with the next t-letter, never with the one before.  So an incoming
-t^k pinches its t-letters one at a time against the last t-letter on the
-stack, and the rest of t^k, whose letters share a sign and so never
-pinch each other, is pushed as one syllable.  That makes exactly the
-rewrites of the leftmost-first rescan of the letters, in the same order,
-in time linear in the t-length (plus the integer arithmetic).  An
-exponent that a pinch leaves past MAX_EXPONENT_BITS bits (``words``)
-raises DomainError: BS(1,2) doubles it per pinch, so t^-k a t^k would
-otherwise cost Theta(k^2) bit operations and give an integer too long to
-print.
+t^k pinches its t-letters in turn against the last t-letter of the stack
+top t^K a^e, and the rest of t^k, whose letters share a sign and so
+never pinch each other, is pushed as one syllable.  That makes exactly
+the rewrites of the leftmost-first rescan of the letters, in the same
+order.
+
+Such a run of j pinches leaves a^(e (n/m)^j) (a^(e (m/n)^j) for k < 0).
+When e = 0 or |m| = |n|, each pinch keeps |e|, so the next one happens
+too: the whole run, j = min(|K|, |k|), is one step.  Every other run goes
+letter by letter, and it is short.  Let d be the divisor (m for k > 0, n
+otherwise) and o the other parameter, both divided by their gcd.  If
+|d| >= 2, a prime p divides d and not o, so the p-adic valuation of e
+drops at each pinch and the run ends within MAX_EXPONENT_BITS pinches.
+Otherwise |o| >= 2 and |e| at least doubles at each pinch, so the run
+raises within MAX_EXPONENT_BITS + 1 pinches: an exponent that a pinch
+leaves past MAX_EXPONENT_BITS bits (``words``) raises DomainError.  So
+the time is polynomial in the number of syllables and the digits of the
+exponents, whatever the t-length, and no t-letter cap is needed.
 
 For the soluble case BS(1, k) the assignment a -> (1, 0), t -> (0, 1) is
 an isomorphism onto G(1, k), giving an independent word-problem oracle
@@ -45,7 +54,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .words import (  # MAX_EXPONENT_BITS: re-exported, the budget of pinches
     MAX_EXPONENT_BITS,
-    MAX_SYLLABLES,
     Word,
     checked_exponent,
     format_word,
@@ -95,28 +103,21 @@ class BsWord(Word):
 
     @classmethod
     def from_word(cls, w: Word) -> "BsWord":
-        """w itself, not copied; raises ValueError for a generator other
-        than a and t, and DomainError past MAX_SYLLABLES t-letters."""
+        """w's letters as a BsWord, not copied; raises ValueError for a
+        generator other than a and t.  The t-length is not bounded:
+        britton_reduce takes a run of pinches that keeps |e| in one
+        step, and every other run is bounded by the exponent budget."""
         if any(gen not in (0, 1) for gen, _ in w.letters):
             raise ValueError("BS words use the two-letter alphabet (a, t)")
-        return cls._capped(w.letters)
+        return cls._make(w.letters)
 
     @classmethod
     def from_text(cls, text: str) -> "BsWord":
         """The word that ``text`` spells over (a, t); raises what
-        parse_word raises, and DomainError past MAX_SYLLABLES t-letters.
-        Parsing over (a, t) yields no other generator, so unlike
-        from_word this does not check the alphabet."""
-        return cls._capped(parse_word(text, GENERATORS).letters)
-
-    @classmethod
-    def _capped(cls, letters: tuple[tuple[int, int], ...]) -> "BsWord":
-        word = cls._make(letters)
-        if word.t_length > MAX_SYLLABLES:
-            raise DomainError(
-                f"word has {word.t_length} t-letters, above the limit of {MAX_SYLLABLES}"
-            )
-        return word
+        parse_word raises.  Parsing over (a, t) yields no other
+        generator, so unlike from_word this does not check the
+        alphabet; as there, the t-length is not bounded."""
+        return cls._make(parse_word(text, GENERATORS).letters)
 
     def format(self) -> str:
         return format_word(self, GENERATORS)
@@ -151,11 +152,13 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
 
     t^-1 a^s t -> a^(s*n/m) when m | s, and t a^s t^-1 -> a^(s*m/n) when
     n | s.  The stack holds the pinch-free prefix of the rewritten word;
-    each incoming t-letter is tested once against its last t-letter.
-    Raises DomainError when a pinch leaves an exponent past
-    MAX_EXPONENT_BITS bits.
+    each incoming t-syllable pinches against its top, a run that keeps
+    |e| in one step and any other run one t-letter at a time.  Raises
+    DomainError when a pinch leaves an exponent past MAX_EXPONENT_BITS
+    bits.
     """
     m, n = params.m, params.n
+    keeps = abs(m) == abs(n)  # then every pinch keeps |e|
     lead = w.lead
     s = w.letters[1:] if lead else w.letters
     # The stack's syllables t^K a^e as two lists of letters (1, K) and
@@ -165,8 +168,13 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
     for tk, ae in zip(s[0::2], s[1::2] + ((0, 0),)):
         k = tk[1]
         while k and ts and ts[-1][1] * k < 0 and es[-1][1] % (m if k > 0 else n) == 0:
+            e = es[-1][1]
             step = 1 if k > 0 else -1
-            merged = es[-1][1] // m * n if k > 0 else es[-1][1] // n * m
+            if not e or keeps:  # the whole run, e * (n/m)^j = +-e, at once
+                step *= min(abs(k), abs(ts[-1][1]))
+                merged = -e if step % 2 and m != n else e
+            else:
+                merged = e // m * n if k > 0 else e // n * m
             k -= step
             if not k:
                 merged += ae[1]

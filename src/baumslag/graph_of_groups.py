@@ -302,26 +302,27 @@ def _conjugated(letter: int, sign: int, word: tuple) -> tuple:
 
 
 def _least_rotation(s: list) -> tuple:
-    """The lexicographically least rotation of s, in O(len(s)) comparisons
-    (Booth, Lexicographically least circular substrings, IPL 10, 1980)."""
+    """The lexicographically least rotation of s, in O(len(s)) comparisons.
+
+    Two candidate starts i < j are compared over a matched length k.  At
+    a mismatch the larger side loses, and so does every start within k of
+    it, since each one is beaten by the start as far from the winner; so
+    the losing start moves past k + 1.  When j passes the end or k covers
+    all of s (s is periodic), i is a least start.
+    """
     n = len(s)
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j % n]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[(k + i + 1) % n]:
-            if sj < s[(k + i + 1) % n]:
-                k = j - i - 1
-            i = f[i]
-        if i == -1 and sj != s[k % n]:
-            if sj < s[k % n]:
-                k = j
-            f[j - k] = -1
+    d = s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        if d[i + k] == d[j + k]:
+            k += 1
+            continue
+        if d[i + k] > d[j + k]:
+            i, j = j, max(i + k, j) + 1
         else:
-            f[j - k] = i + 1
-    k %= n
-    return tuple(s[k:] + s[:k])
+            j += k + 1
+        k = 0
+    return tuple(d[i : i + n])
 
 
 def _cyclic_key(w: Word) -> tuple:

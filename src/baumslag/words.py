@@ -54,8 +54,7 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # it still matches (digits is ""), so the error can name the position.
 TERM_RE = re.compile(rf"(?:({IDENT_RE.pattern}|\))(?:\s*(\^)\s*(-?\d+)?)?|(\S))\s*")
 
-# Largest number of syllables a power may build, and of t-letters a BS(m,n)
-# word may hold.
+# Largest number of syllables a power may build.
 MAX_SYLLABLES = 2**20
 
 # Largest bit length a computed integer may reach (an exponent merged by

@@ -16,7 +16,7 @@ from baumslag.britton import (
 )
 from baumslag.errors import DomainError
 from baumslag.metabelian import MetabelianElement, MetabelianParams, eval_word
-from baumslag.words import MAX_SYLLABLES, Word
+from baumslag.words import Word
 
 BS23 = BsParams(2, 3)
 
@@ -177,12 +177,17 @@ def test_bsword_power_matches_repeated_product():
             assert w ** k == expected, (w, k)
 
 
-def test_from_word_limits_t_letters():
-    with pytest.raises(DomainError):
-        BsWord.from_word(Word([(1, 10**19)]))
-    with pytest.raises(DomainError):
-        BsWord.from_word(Word([(1, -MAX_SYLLABLES), (0, 1), (1, 1)]))
+def test_from_word_accepts_any_t_length():
+    # No t-letter cap: britton_reduce takes a run that keeps |e| in one
+    # step, and every other run ends within the exponent budget.
+    w = BsWord.from_word(Word([(1, 10**19)]))
+    assert w == BsWord(0, ((10**19, 0),))
+    assert britton_reduce(w, BS23) == w
+    w = BsWord.from_word(Word([(1, -(2**20)), (0, 1), (1, 1)]))
+    assert britton_reduce(w, BS23) == w
     assert BsWord.from_word(Word([(0, 10**19)])) == BsWord(10**19)
+    with pytest.raises(ValueError, match="two-letter alphabet"):
+        BsWord.from_word(Word([(0, 1), (2, 1)]))
 
 
 def test_britton_reduce_examples():
@@ -364,6 +369,78 @@ def test_britton_reduce_matches_reference_on_runs(m, n):
         ]
         w = BsWord(rng.randint(-2, 2), tail)
         assert britton_reduce(w, params) == reference_reduce(w, params), w
+
+
+def t_sum(w):
+    return sum(k for k, _ in w.tail)
+
+
+def zero_run_word(rng, params, size):
+    """t^K a^(c*n) t^-1 a^(-c*m) t^-K' or its mirror t^-K a^(c*m) t a^(-c*n)
+    t^K', K and K' up to ``size``: the first pinch leaves a^0, so the rest
+    is a run of pinches that each keep e = 0, whatever m and n are."""
+    m, n = params.m, params.n
+    c = rng.choice((1, -1, 2))
+    big, other = rng.randint(2, size), rng.randint(1, size)
+    if rng.random() < 0.5:
+        tail = ((big, c * n), (-1, -c * m), (-other, rng.choice((0, 1, m))))
+    else:
+        tail = ((-big, c * m), (1, -c * n), (other, rng.choice((0, 1, n))))
+    return BsWord(rng.randint(-1, 1), tail)
+
+
+@pytest.mark.parametrize("m,n", [(1, -1), (2, -2), (3, 3)])
+def test_britton_reduce_matches_reference_on_long_keeping_runs(m, n):
+    # |m| = |n|: every pinch keeps |e|, so a run of up to ~2 000 letters
+    # is one step of britton_reduce and ~1 000 rescans of the reference.
+    params = BsParams(m, n)
+    rng = random.Random(f"long-runs:{m}:{n}")
+    for _ in range(6):
+        sign = rng.choice((1, -1))
+        tail = tuple(
+            ((-1) ** i * sign * rng.randint(1, 500), rng.choice((0, m, -m, 2 * m, 1)))
+            for i in range(rng.randint(2, 6))
+        )
+        w = BsWord(rng.randint(-2, 2), tail)
+        assert britton_reduce(w, params) == reference_reduce(w, params), w
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (4, 6)])
+def test_britton_reduce_matches_reference_on_zero_runs(m, n):
+    params = BsParams(m, n)
+    rng = random.Random(f"zero-runs:{m}:{n}")
+    for _ in range(4):
+        w = zero_run_word(rng, params, 600) * zero_run_word(rng, params, 600)
+        assert britton_reduce(w, params) == reference_reduce(w, params), w
+
+
+def test_britton_reduce_long_runs_in_closed_form():
+    big = 10**9
+    # BS(1,1) is Z^2: each result is checked against G(1,1).
+    for text in (f"t^-{big} a t^{big}", f"t^{big} a^3 t^-{big - 5} a^-2 t^{7}",
+                 f"a t^-{big} a^-4 t^{2 * big} a^5 t^-{big + 3}"):
+        w = W(text)
+        r = britton_reduce(w, BsParams(1, 1))
+        assert t_sum(r) == t_sum(w) and r.t_length == abs(t_sum(w)), text
+        assert in_g(r, 1) == in_g(w, 1), text
+    assert britton_reduce(W(f"t^-{big} a t^{big}"), BsParams(1, 1)) == BsWord(1)
+    # |m| = |n|: t^-j a^e t^j = a^(e (n/m)^j) = a^(+-e).
+    for (m, n), j, sign in (((2, 2), big, 1), ((2, -2), big, 1), ((2, -2), big + 1, -1)):
+        for text, e in ((f"t^-{j} a^2 t^{j}", 2), (f"t^{j} a^4 t^-{j}", 4)):
+            assert britton_reduce(W(text), BsParams(m, n)) == BsWord(sign * e), (m, n, text)
+    # BS(2,3): a^3 pinches to a^2, which cancels, and the e = 0 run is
+    # trivial; the bare conjugate has no pinch and stays as it is.
+    w = W(f"t^{big} a^3 t^-1 a^-2 t^-{big - 1}")
+    assert t_sum(w) == 0 and britton_reduce(w, BS23) == BsWord()
+    w = W(f"t^-{big} a t^{big}")
+    assert britton_reduce(w, BS23) == w
+    # BS(4,2) halves e per pinch: 13 998 pinches leave a^2.
+    left = big - (MAX_EXPONENT_BITS - 2)
+    r = britton_reduce(BsWord(0, ((-big, 2 ** (MAX_EXPONENT_BITS - 1)), (big, 0))), BsParams(4, 2))
+    assert r == BsWord(0, ((-left, 2), (left, 0))) and t_sum(r) == 0
+    # BS(1,2) doubles e per pinch: the budget ends the run.
+    with pytest.raises(DomainError, match=f"{MAX_EXPONENT_BITS + 1} bits, above the limit"):
+        britton_reduce(W(f"t^-{big} a t^{big}"), BsParams(1, 2))
 
 
 def test_exponent_budget():

@@ -57,11 +57,29 @@ def test_reduce_huge_multi_syllable_power(capsys):
 
 
 def test_reduce_over_syllable_limit_exits_3(capsys):
-    for word in ("(a t)^10000000000000000000", "t^10000000000000000000"):
-        code, out, err = run(capsys, "reduce", "--group", "BS(2,3)", "--word", word)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error:") and "limit of 1048576" in err
+    # A power whose core has two syllables: its length grows with N.
+    code, out, err = run(
+        capsys, "reduce", "--group", "BS(2,3)", "--word", "(a t)^10000000000000000000"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "limit of 1048576" in err
+
+
+def test_reduce_huge_t_power(capsys):
+    # One syllable however many t-letters; no pinch, so it is reduced.
+    code, out, err = run(
+        capsys, "reduce", "--group", "BS(2,3)", "--word", "t^10000000000000000000"
+    )
+    assert code == 0, err
+    assert "reduced: t^10000000000000000000" in out
+    word = "t^-1000000000 a t^1000000000"
+    code, out, err = run(capsys, "reduce", "--group", "BS(2,3)", "--word", word)
+    assert code == 0, err
+    assert f"reduced: {word}" in out
+    code, out, err = run(capsys, "reduce", "--group", "BS(1,1)", "--word", word)
+    assert code == 0, err
+    assert "reduced: a\n" in out
 
 
 def test_reduce_over_exponent_budget_exits_3(capsys):

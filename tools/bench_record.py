@@ -52,12 +52,13 @@ PROVENANCE = "provenance: "
 SWEEP_CAP_S = 5.0
 # name -> (sizes, setup building the input of size SIZE, timed statement).
 SWEEPS = {
-    # t^-k a t^k with 2k = SIZE t-letters: a cascade of k pinches.
+    # t^-k a t^k with 2k = SIZE t-letters, built from its two syllables:
+    # a cascade of k pinches that keep |e|, one step of britton_reduce.
     "britton_cascade_bs11_t_length": (
-        [80_000, 160_000, 320_000, 640_000],
+        [10**5, 10**6, 10**7, 10**8, 10**9],
         "from baumslag.britton import BsParams, BsWord, britton_reduce\n"
         "k = SIZE // 2\n"
-        "w = BsWord(0, ((-1, 0),) * (k - 1) + ((-1, 1),) + ((1, 0),) * k)\n"
+        "w = BsWord(0, ((-k, 1), (k, 0)))\n"
         "params = BsParams(1, 1)",
         "britton_reduce(w, params)",
     ),
@@ -169,15 +170,14 @@ def ct_run(checkout: str, jobs: int) -> tuple[float, str]:
 
 
 def sweep_point(checkout: str, setup: str, stmt: str, size: int) -> float:
-    """Seconds of one run of stmt on an input of the given size, in a fresh
-    interpreter on the checkout's sources; the best of three under 1 s."""
+    """Seconds of stmt on an input of the given size, the best of three
+    runs in a fresh interpreter on the checkout's sources."""
     code = (
         f"SIZE = {size}\n{setup}\nimport time\nbest = None\n"
         f"for _ in range(3):\n"
         f"    start = time.perf_counter()\n    {stmt}\n"
         f"    took = time.perf_counter() - start\n"
         f"    best = took if best is None else min(best, took)\n"
-        f"    if took > 1.0:\n        break\n"
         f"print(best)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
