@@ -305,10 +305,10 @@ def _least_rotation(s: list) -> tuple:
     """The lexicographically least rotation of s, in O(len(s)) comparisons.
 
     Two candidate starts i < j are compared over a matched length k.  At
-    a mismatch the larger side loses, and so does every start within k of
-    it, since each one is beaten by the start as far from the winner; so
-    the losing start moves past k + 1.  When j passes the end or k covers
-    all of s (s is periodic), i is a least start.
+    a mismatch the start with the larger letter loses, and so do the k
+    starts after it, each beaten by the start at the same offset from the
+    winner; so the losing start moves on by k + 1.  When j passes the end,
+    or k covers all of s (s is periodic), i is a least start.
     """
     n = len(s)
     d = s + s
