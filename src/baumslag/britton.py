@@ -38,9 +38,17 @@ otherwise) and o the other parameter, both divided by their gcd.  If
 drops at each pinch and the run ends within MAX_EXPONENT_BITS pinches.
 Otherwise |o| >= 2 and |e| at least doubles at each pinch, so the run
 raises within MAX_EXPONENT_BITS + 1 pinches: an exponent that a pinch
-leaves past MAX_EXPONENT_BITS bits (``words``) raises DomainError.  So
-the time is polynomial in the number of syllables and the digits of the
-exponents, whatever the t-length, and no t-letter cap is needed.
+leaves past MAX_EXPONENT_BITS bits (``words``) raises DomainError.
+
+A word may hold many such runs, one per syllable: the 30 characters of
+(t^-13000 a t^13000 a)^262000 spell 262 000 runs of 13 000 pinches on
+exponents of up to 13 000 bits.  So the letter-by-letter pinches of one
+reduction are also bounded in total, by _MAX_PINCHES = 2^19, past which
+DomainError is raised.  A word of at most 2^20 t-letters makes at most
+2^19 pinches of any kind, so no such word is refused; a longer one is
+refused only when it needs more pinches letter by letter.  The time is
+thus bounded by 2^19 pinches on MAX_EXPONENT_BITS-bit exponents plus a
+step per syllable, whatever the t-length.
 
 For the soluble case BS(1, k) the assignment a -> (1, 0), t -> (0, 1) is
 an isomorphism onto G(1, k), giving an independent word-problem oracle
@@ -62,6 +70,9 @@ from .words import (  # MAX_EXPONENT_BITS: re-exported, the budget of pinches
 )
 
 GENERATORS = ("a", "t")
+
+# Most pinches britton_reduce takes one t-letter at a time (see above).
+_MAX_PINCHES = 2**19
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,8 @@ class BsWord(Word):
         """w's letters as a BsWord, not copied; raises ValueError for a
         generator other than a and t.  The t-length is not bounded:
         britton_reduce takes a run of pinches that keeps |e| in one
-        step, and every other run is bounded by the exponent budget."""
+        step, and bounds the other pinches by their count and the
+        exponent budget."""
         if any(gen not in (0, 1) for gen, _ in w.letters):
             raise ValueError("BS words use the two-letter alphabet (a, t)")
         return cls._make(w.letters)
@@ -155,7 +167,8 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
     each incoming t-syllable pinches against its top, a run that keeps
     |e| in one step and any other run one t-letter at a time.  Raises
     DomainError when a pinch leaves an exponent past MAX_EXPONENT_BITS
-    bits.
+    bits, or when it needs more than _MAX_PINCHES pinches taken one
+    t-letter at a time.
     """
     m, n = params.m, params.n
     keeps = abs(m) == abs(n)  # then every pinch keeps |e|
@@ -165,6 +178,7 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
     # (0, e); a syllable pushed as read keeps the input's tuples.
     ts: list[tuple[int, int]] = []
     es: list[tuple[int, int]] = []
+    pinches = 0  # taken one t-letter at a time
     for tk, ae in zip(s[0::2], s[1::2] + ((0, 0),)):
         k = tk[1]
         while k and ts and ts[-1][1] * k < 0 and es[-1][1] % (m if k > 0 else n) == 0:
@@ -175,6 +189,9 @@ def britton_reduce(w: BsWord, params: BsParams) -> BsWord:
                 merged = -e if step % 2 and m != n else e
             else:
                 merged = e // m * n if k > 0 else e // n * m
+                pinches += 1
+                if pinches > _MAX_PINCHES:
+                    raise DomainError(f"reduction needs over {_MAX_PINCHES} one-letter pinches")
             k -= step
             if not k:
                 merged += ae[1]
@@ -257,9 +274,7 @@ def z2_witness(params: BsParams, bound: int) -> Z2WitnessReport:
     lead + n*j == 0.
     """
     if abs(params.m) <= 1 or abs(params.n) <= 1:
-        raise DomainError(
-            f"witness needs |m|, |n| > 1, got ({params.m}, {params.n})"
-        )
+        raise DomainError(f"witness needs |m|, |n| > 1, got ({params.m}, {params.n})")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     u = BsWord(0, ((-1, 1), (1, 1)))  # t^-1 a t a

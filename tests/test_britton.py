@@ -186,8 +186,6 @@ def test_from_word_accepts_any_t_length():
     w = BsWord.from_word(Word([(1, -(2**20)), (0, 1), (1, 1)]))
     assert britton_reduce(w, BS23) == w
     assert BsWord.from_word(Word([(0, 10**19)])) == BsWord(10**19)
-    with pytest.raises(ValueError, match="two-letter alphabet"):
-        BsWord.from_word(Word([(0, 1), (2, 1)]))
 
 
 def test_britton_reduce_examples():
@@ -414,7 +412,7 @@ def test_britton_reduce_matches_reference_on_zero_runs(m, n):
         assert britton_reduce(w, params) == reference_reduce(w, params), w
 
 
-def test_britton_reduce_long_runs_in_closed_form():
+def test_britton_reduce_long_runs_in_closed_form(few_pinches):
     big = 10**9
     # BS(1,1) is Z^2: each result is checked against G(1,1).
     for text in (f"t^-{big} a t^{big}", f"t^{big} a^3 t^-{big - 5} a^-2 t^{7}",
@@ -441,6 +439,19 @@ def test_britton_reduce_long_runs_in_closed_form():
     # BS(1,2) doubles e per pinch: the budget ends the run.
     with pytest.raises(DomainError, match=f"{MAX_EXPONENT_BITS + 1} bits, above the limit"):
         britton_reduce(W(f"t^-{big} a t^{big}"), BsParams(1, 2))
+
+
+def test_one_letter_pinches_are_bounded():
+    # BS(1,2) pinches t^-16 a t^16 one letter at a time: 16 pinches per
+    # block.  32 768 blocks have 2^20 t-letters and make 2^19 pinches,
+    # the most allowed; one block more is refused, early.
+    params = BsParams(1, 2)
+    block = BsWord(1, ((-16, 1), (16, 0)))
+    assert britton_reduce(block ** 32768, params) == BsWord(32768 * (2**16 + 1))
+    with pytest.raises(DomainError, match="over 524288 one-letter pinches"):
+        britton_reduce(block ** 32769, params)
+    # Runs that keep |e| are one step each and are not counted.
+    assert britton_reduce(block ** 10**5, BsParams(1, 1)) == BsWord(2 * 10**5)
 
 
 def test_exponent_budget():

@@ -66,7 +66,7 @@ def test_reduce_over_syllable_limit_exits_3(capsys):
     assert err.startswith("error:") and "limit of 1048576" in err
 
 
-def test_reduce_huge_t_power(capsys):
+def test_reduce_huge_t_power(capsys, few_pinches):
     # One syllable however many t-letters; no pinch, so it is reduced.
     code, out, err = run(
         capsys, "reduce", "--group", "BS(2,3)", "--word", "t^10000000000000000000"
@@ -80,6 +80,17 @@ def test_reduce_huge_t_power(capsys):
     code, out, err = run(capsys, "reduce", "--group", "BS(1,1)", "--word", word)
     assert code == 0, err
     assert "reduced: a\n" in out
+
+
+def test_reduce_many_one_letter_runs_exits_3(capsys):
+    # BS(1,2): each t^-20 a t^20 is 20 pinches one letter at a time, and
+    # the power holds 262 000 of them, over the bound on their total.
+    code, out, err = run(
+        capsys, "reduce", "--group", "BS(1,2)", "--word", "(t^-20 a t^20 a)^262000"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: reduction needs over 524288 one-letter pinches\n"
 
 
 def test_reduce_over_exponent_budget_exits_3(capsys):
