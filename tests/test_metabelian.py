@@ -248,6 +248,40 @@ def test_bezout_certificate_large_k_is_short():
         assert len(cert.word) <= 5
 
 
+def assert_nearest_bezout_pair(cert):
+    # m^k q + n^k q' = 1 with -n^k < 2q <= n^k fixes (q, q'): q is the
+    # inverse of m^k mod n^k nearest 0, the positive one on a tie.
+    m_k, n_k = cert.params.m**cert.k, cert.params.n**cert.k
+    assert m_k * cert.q + n_k * cert.q_prime == 1
+    assert -n_k < 2 * cert.q <= n_k
+
+
+def test_bezout_pair_is_the_inverse_nearest_zero():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            if gcd(m, n) != 1 or m == n == 1:
+                continue
+            params = MetabelianParams(m, n)
+            for k in range(31):
+                for side in ("m", "n"):
+                    cert = bezout_certificate(params, k, side)
+                    assert_nearest_bezout_pair(cert)
+                    if k <= 6:
+                        assert cert.verify()
+
+
+def test_bezout_pair_at_large_k_and_on_the_tie():
+    for k in (2000, 8000):
+        for side in ("m", "n"):
+            assert_nearest_bezout_pair(bezout_certificate(G23, k, side))
+    # n^k = 2: both +1 and -1 invert m mod 2; the pair takes q = +1.
+    for m in (1, 3, 5, 7, 9, 11):
+        for side in ("m", "n"):
+            cert = bezout_certificate(MetabelianParams(m, 2), 1, side)
+            assert (cert.q, cert.q_prime) == (1, (1 - m) // 2)
+            assert cert.verify()
+
+
 def test_bezout_certificate_guard():
     with pytest.raises(DomainError):
         bezout_certificate(G11, 1, "n")
