@@ -152,20 +152,30 @@ def cmd_classify(args) -> int:
     return _report(args, ("group", params), fields, lines)
 
 
+# The G(1,1) note of each G(m,n) kind, as (structured, text): there is no witness.
+_NO_WITNESS_NOTES = {
+    "weak-ah": (
+        "m = n: no conjugate-power witness; G(1,1) is free abelian of rank 2 "
+        "and contains Z^2 as itself",
+        "m = n; G(1,1) is free abelian of rank 2 and contains Z^2 as itself",
+    ),
+    "csa": ("G(1,1) is abelian; H is not a proper subgroup",) * 2,
+}
+
+
 def cmd_witness(args) -> int:
     group = _parse_group(args.group)
     if args.kind == "z2":
         params = _require(britton.BsParams, group)
         report = britton.z2_witness(params, args.bound)
+        ok = report.verified
         fields = {
-            "kind": "z2",
             "u": report.u.format(),
             "v": report.v.format(),
             "commutator_trivial": report.commutator_is_trivial,
             "bound": report.bound,
             "pairs_checked": report.pairs_checked,
             "collapsed_pairs": [list(p) for p in report.collapsed_pairs],
-            "verified": report.verified,
         }
         lines = [
             f"u: {report.u.format()}",
@@ -174,77 +184,50 @@ def cmd_witness(args) -> int:
             f"nonzero powers u^i v^j checked (|i|, |j| <= {report.bound}): {report.pairs_checked}",
             f"collapsed pairs: {list(report.collapsed_pairs) or 'none'}",
             "note: faithfulness is checked up to the stated bound only",
-            f"verified: {'yes' if report.verified else 'no'}",
         ]
-        return _report(args, ("group", params), fields, lines, report.verified)
-    params = _require(MetabelianParams, group)
-    head = ("group", params)
-    if args.kind == "weak-ah":
-        witness = power_conjugacy_witness(params)
+    else:
+        params = _require(MetabelianParams, group)
+        if args.kind == "weak-ah":
+            witness = power_conjugacy_witness(params)
+        else:
+            witness = malnormality_violation_witness(params)
         if witness is None:
+            note, text_note = _NO_WITNESS_NOTES[args.kind]
+            fields = {"kind": args.kind, "witness": None, "note": note}
+            lines = ["witness: none", f"note: {text_note}"]
+            return _report(args, ("group", params), fields, lines)
+        ok = witness.verify()
+        if args.kind == "weak-ah":
+            identity = f"t x^{witness.e1} t^-1 = x^{witness.e2}"
             fields = {
-                "kind": "weak-ah",
-                "witness": None,
-                "note": (
-                    "m = n: no conjugate-power witness; G(1,1) is free abelian "
-                    "of rank 2 and contains Z^2 as itself"
-                ),
+                "witness": {
+                    "x": str(witness.x),
+                    "t": str(witness.t),
+                    "e1": witness.e1,
+                    "e2": witness.e2,
+                },
+                "identity": identity,
             }
             lines = [
-                "witness: none",
-                "note: m = n; G(1,1) is free abelian of rank 2 and contains Z^2 as itself",
+                f"x: {witness.x}",
+                f"t: {witness.t}",
+                f"identity: {identity}",
+                f"exponents: |{witness.e1}| != |{witness.e2}|",
             ]
-            return _report(args, head, fields, lines)
-        ok = witness.verify()
-        fields = {
-            "kind": "weak-ah",
-            "witness": {
-                "x": str(witness.x),
-                "t": str(witness.t),
-                "e1": witness.e1,
-                "e2": witness.e2,
-            },
-            "identity": f"t x^{witness.e1} t^-1 = x^{witness.e2}",
-            "verified": ok,
-        }
-        lines = [
-            f"x: {witness.x}",
-            f"t: {witness.t}",
-            f"identity: t x^{witness.e1} t^-1 = x^{witness.e2}",
-            f"exponents: |{witness.e1}| != |{witness.e2}|",
-            f"verified: {'yes' if ok else 'no'}",
-        ]
-        return _report(args, head, fields, lines, ok)
-    if args.kind == "csa":
-        witness = malnormality_violation_witness(params)
-        if witness is None:
-            note = "G(1,1) is abelian; H is not a proper subgroup"
+        else:
+            conj = witness.h.conjugate(witness.g)
             fields = {
-                "kind": "csa",
-                "witness": None,
-                "note": note,
+                "witness": {"h": str(witness.h), "g": str(witness.g)},
+                "conjugate": str(conj),
             }
             lines = [
-                "witness: none",
-                f"note: {note}",
+                f"h (in H): {witness.h}",
+                f"g (outside H): {witness.g}",
+                f"g^-1 h g: {conj} (in H, nontrivial)",
             ]
-            return _report(args, head, fields, lines)
-        ok = witness.verify()
-        conj = witness.h.conjugate(witness.g)
-        fields = {
-            "kind": "csa",
-            "witness": {"h": str(witness.h), "g": str(witness.g)},
-            "conjugate": str(conj),
-            "verified": ok,
-        }
-        lines = [
-            f"h (in H): {witness.h}",
-            f"g (outside H): {witness.g}",
-            f"g^-1 h g: {conj} (in H, nontrivial)",
-            f"verified: {'yes' if ok else 'no'}",
-        ]
-        return _report(args, head, fields, lines, ok)
-    raise ValueError(f"unknown witness kind {args.kind!r}")
+    fields = {"kind": args.kind, **fields, "verified": ok}
+    lines.append(f"verified: {'yes' if ok else 'no'}")
+    return _report(args, ("group", params), fields, lines, ok)
 
 
 _TARGET_RE = re.compile(r"1/([mn])(?:\^(\d+))?\Z")

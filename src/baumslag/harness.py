@@ -34,6 +34,7 @@ from .abelianization import abelianization
 from .errors import DomainError
 from .fixtures import fixture_names, load_fixture
 from .graph_of_groups import (
+    BOUNDARY_INJECTIVITY_ASSUMPTION,
     GraphOfGroups,
     collapse_all_but_one,
     fundamental_presentation,
@@ -512,5 +513,5 @@ def suite_gog(names: Sequence[str] = fixture_names(), seed: int | str = 0) -> Su
             for expected, got in _gog_checks(load_fixture(name))
         ]
 
-    notes = ["boundary maps are assumed injective; injectivity is not checked"]
+    notes = [BOUNDARY_INJECTIVITY_ASSUMPTION]
     return _run_trials("gog", {"fixtures": " ".join(names)}, seed, len(names), trial, notes)

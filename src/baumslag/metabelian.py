@@ -25,8 +25,9 @@ and ``subgroup_params``.  Every result the package computes itself is a
 member by construction, so it is built unchecked by ``_element``: its
 integer numerator and denominator are computed first, and one Fraction
 is made per returned element.  Either the denominator only gains factors
-of m and n (products, inverses, the t-action, Word evaluation, and
-``element_over_mn``, which builds z / (m^i * n^j) for random samples),
+of m and n (products, inverses, the t-action, Word evaluation, the
+Bezout targets 1/m^k and 1/n^k, and ``element_over_mn``, which builds
+z / (m^i * n^j) for random samples),
 or it comes from an exact integer division (powers and centraliser
 samples).
 """
@@ -417,21 +418,6 @@ def subgroup_params(x: Fraction, p: int, ambient: MetabelianParams) -> Metabelia
     return MetabelianParams(ambient.n ** -p, ambient.m ** -p)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_u, u = u, old_u - quot * u
-        old_v, v = v, old_v - quot * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 @dataclass(frozen=True)
 class BezoutCertificate:
     """A constructive membership certificate for 1/n^k (or 1/m^k) in the
@@ -476,24 +462,27 @@ def bezout_certificate(
     params: MetabelianParams, k: int, side: str
 ) -> BezoutCertificate:
     """Build the membership certificate for 1/n^k (side 'n') or 1/m^k
-    (side 'm') in G(m, n); requires max(m, n) > 1 and k >= 0."""
+    (side 'm') in G(m, n); requires max(m, n) > 1 and k >= 0.
+
+    Both sides use the same pair: q is the inverse of m^k mod n^k
+    nearest 0 (+1 when n^k = 2, 0 when n^k = 1), and
+    q' = (1 - m^k q) / n^k."""
     if side not in ("m", "n"):
         raise ValueError(f"side must be 'm' or 'n', got {side!r}")
     if params.is_abelian:
         raise DomainError("G(1,1) has trivial denominators; no certificate to build")
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    g, q, q_prime = _egcd(params.m ** k, params.n ** k)
-    assert g == 1  # parameters are coprime
+    m_k, n_k = params.m ** k, params.n ** k
+    q = pow(m_k, -1, n_k)
+    if 2 * q > n_k:
+        q -= n_k
+    q_prime = (1 - m_k * q) // n_k
+    # Side n: (t^k a t^-k)^q a^q' = 1/n^k; side m: (t^-k a t^k)^q' a^q = 1/m^k.
+    shift, conj_exp, a_exp, den = (k, q, q_prime, n_k) if side == "n" else (-k, q_prime, q, m_k)
     a, t = Word([(0, 1)]), Word([(1, 1)])
-    if side == "n":
-        conj = t ** k * a * t ** -k
-        word = conj ** q * a ** q_prime
-        target = MetabelianElement(params, Fraction(1, params.n ** k), 0)
-    else:
-        conj = t ** -k * a * t ** k
-        word = conj ** q_prime * a ** q
-        target = MetabelianElement(params, Fraction(1, params.m ** k), 0)
+    word = (t ** shift * a * t ** -shift) ** conj_exp * a ** a_exp
+    target = _element(params, 1, den, 0)
     return BezoutCertificate(params, k, side, q, q_prime, word, target)
 
 

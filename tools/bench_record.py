@@ -194,8 +194,7 @@ def loglog_slope(sizes: list[int], seconds: list[float]) -> float | None:
         return None
     xs = [math.log(x) for x in sizes]
     ys = [math.log(y) for y in seconds]
-    mx, my = statistics.fmean(xs), statistics.fmean(ys)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    return statistics.linear_regression(xs, ys).slope
 
 
 def run_sweeps(checkout: str) -> dict:
