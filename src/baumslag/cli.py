@@ -152,7 +152,7 @@ def cmd_classify(args) -> int:
     return _report(args, ("group", params), fields, lines)
 
 
-# The G(1,1) note of each G(m,n) kind, as (structured, text): there is no witness.
+# G(1,1) has no witness of either G(m,n) kind; each kind's (structured, text) note.
 _NO_WITNESS_NOTES = {
     "weak-ah": (
         "m = n: no conjugate-power witness; G(1,1) is free abelian of rank 2 "
